@@ -54,6 +54,7 @@ from .nonlocality import (
     MinResult,
     OptimizerConfig,
     bures_min_numeric,
+    closed_form,
     direction_objective,
     hs_min_isotropic,
     hs_min_numeric,

@@ -3,22 +3,16 @@
 The flip channels act on Bell-diagonal states as exact multipliers on the
 correlation triple, so their dynamics are evaluated analytically and
 cross-checked against explicit Kraus evolution at every grid point.
-
-Sweeps and audits parallelize over independent work items when the
-``MINKIT_THREADS`` environment variable allows; results are merged by
-index, so output is identical regardless of thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, dagger, hs_norm, tensor_product
+from .linalg import PAULIS, _local_action, dagger, hs_norm, tensor_product
 from .nonlocality import (
     METHOD_SPHERE,
     METHOD_BLOCK,
@@ -39,22 +33,6 @@ from .states import (
 COMPLETENESS_TOL = 1e-10
 
 FLIP_LABELS = {1: "bit_flip", 2: "bit_phase_flip", 3: "phase_flip"}
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MINKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_indexed(fn, items):
-    """Apply ``fn`` over ``items`` preserving order; threads if allowed."""
-    workers = _max_workers()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -87,24 +65,14 @@ def apply_channel_b(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     """Apply the channel to party B; the reduced state of A is untouched."""
     if ch.dim != rho.db:
         raise ValueError(f"channel dimension {ch.dim} != dB {rho.db}")
-    ida = np.eye(rho.da, dtype=complex)
-    out = np.zeros_like(rho.mat)
-    for k in ch.ops:
-        big = tensor_product(ida, k)
-        out += big @ rho.mat @ dagger(big)
-    return validate(out, rho.dims)
+    return validate(_local_action(rho.mat, ch.ops, rho.dims, "B"), rho.dims)
 
 
 def apply_channel_a(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
     """Apply the channel to party A (used by two-sided dynamics)."""
     if ch.dim != rho.da:
         raise ValueError(f"channel dimension {ch.dim} != dA {rho.da}")
-    idb = np.eye(rho.db, dtype=complex)
-    out = np.zeros_like(rho.mat)
-    for k in ch.ops:
-        big = tensor_product(k, idb)
-        out += big @ rho.mat @ dagger(big)
-    return validate(out, rho.dims)
+    return validate(_local_action(rho.mat, ch.ops, rho.dims, "A"), rho.dims)
 
 
 def flip_channel(axis: int, p: float) -> KrausChannel:
@@ -208,7 +176,7 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
         n2 = hs_min_two_qubit(analytic).value
         return c_t, n1, n2
 
-    rows = _map_indexed(step, list(times))
+    rows = [step(gt) for gt in times]
     return DynamicsTrace(
         times=times,
         c_t=np.array([r[0] for r in rows]),
@@ -327,7 +295,7 @@ def monotonicity_audit(
     rng = np.random.default_rng(seed)
     states = [random_density((2, 2), rank=1 + (i % 4), seed=rng) for i in range(n_states)]
     channels = [random_channel(2, 1 + (j % 4), rng) for j in range(n_channels)]
-    befores = _map_indexed(lambda s: trace_min_numeric(s, cfg), states)
+    befores = [trace_min_numeric(s, cfg) for s in states]
 
     pairs = [(i, j) for i in range(n_states) for j in range(n_channels)]
 
@@ -347,7 +315,7 @@ def monotonicity_audit(
             "violation": bool(increase > tol),
         }
 
-    cases = _map_indexed(check, pairs)
+    cases = [check(pair) for pair in pairs]
     violations = [c for c in cases if c["violation"]]
     return {
         "pairs": len(cases),

@@ -29,18 +29,11 @@ from .nonlocality import (
     MinResult,
     OptimizerConfig,
     bures_min_numeric,
+    closed_form,
     hs_min_numeric,
-    hs_min_pure,
-    hs_min_two_qubit,
-    hs_min_werner,
-    hs_min_isotropic,
-    max_entangled_trace_min,
     relation_report,
     trace_min_numeric,
-    trace_min_pure,
     trace_min_two_qubit,
-    trace_min_werner,
-    trace_min_isotropic,
 )
 from .states import (
     DensityMatrix,
@@ -49,7 +42,6 @@ from .states import (
     bloch_decompose,
     canonicalize,
     density_from_pure,
-    detect_family,
     in_tetrahedron,
     load_state,
     make_bell_diagonal,
@@ -67,8 +59,24 @@ def _num(v: float) -> str:
     return f"{v:.12g}"
 
 
+class _InputError(ValueError):
+    """A flag value the library rejects: malformed input, exit code 2."""
+
+
+# Library errors to exit codes, most specific first; any other ValueError is
+# a failure.
+_EXIT_CODES = (
+    (StateFormatError, 2),
+    (_InputError, 2),
+    (StateInvariantError, 3),
+    (DimensionLimitError, 4),
+    (ValueError, 1),
+)
+
+
 def _params_digest(params: dict) -> str:
-    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+    text = json.dumps(params, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _file_digest(path: str) -> str:
@@ -84,9 +92,7 @@ def _write_manifest(out_path: str, command: str, config: dict, seed: int, digest
         "input_digest": digest,
         "tool_version": __version__,
     }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_path + ".manifest.json", manifest)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -99,19 +105,22 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        sphere_grid=args.grid,
-        restarts=args.restarts,
-        tol=args.tol,
-        seed=args.seed,
-        degeneracy_tol=args.degeneracy_tol,
-    )
+    try:
+        return OptimizerConfig(
+            sphere_grid=args.grid,
+            restarts=args.restarts,
+            tol=args.tol,
+            seed=args.seed,
+            degeneracy_tol=args.degeneracy_tol,
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
 
 def _config_dict(cfg: OptimizerConfig) -> dict:
@@ -130,35 +139,6 @@ def _config_dict(cfg: OptimizerConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _closed_value(rho: DensityMatrix, measure: str) -> float | None:
-    """Closed-form value when the state matches a supported family."""
-    if measure == "nb":
-        return None
-    family, params = detect_family(rho)
-    if family == "pure":
-        form = params["schmidt"]
-        if rho.da == 2:
-            return trace_min_pure(form) if measure == "n1" else hs_min_pure(form)
-        lam = form.coefficients
-        m = rho.da
-        if rho.db >= m and np.abs(lam - 1.0 / m).max() <= 1e-9:
-            return max_entangled_trace_min(m) if measure == "n1" else (m - 1) / m
-        return None
-    if family == "bell_diagonal":
-        a = np.sort(np.abs(params["c"]))[::-1]
-        return float(a[0]) if measure == "n1" else float(a[0] ** 2 + a[1] ** 2) / 4.0
-    if family == "werner":
-        fn = trace_min_werner if measure == "n1" else hs_min_werner
-        return fn(params["d"], params["x"])
-    if family == "isotropic":
-        fn = trace_min_isotropic if measure == "n1" else hs_min_isotropic
-        return fn(params["d"], params["x"])
-    if rho.dims == (2, 2):
-        fn = trace_min_two_qubit if measure == "n1" else hs_min_two_qubit
-        return fn(rho).value
-    return None
-
-
 def _measurement_payload(result: MinResult) -> dict | None:
     if result.axis is not None:
         return {"axis": [float(v) for v in result.axis]}
@@ -173,7 +153,7 @@ def _measurement_payload(result: MinResult) -> dict | None:
 
 
 def _compute_payload(rho: DensityMatrix, measure: str, method: str, cfg: OptimizerConfig) -> dict:
-    closed = _closed_value(rho, measure) if method in ("auto", "closed") else None
+    closed = closed_form(rho, measure) if method in ("auto", "closed") else None
     if method == "closed" and closed is None:
         raise ValueError(f"no closed form available for measure {measure!r} on this state")
     if closed is not None:
@@ -191,24 +171,10 @@ def _compute_payload(rho: DensityMatrix, measure: str, method: str, cfg: Optimiz
 
 
 def _cmd_compute(args) -> int:
-    try:
-        rho = load_state(args.state)
-    except StateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StateInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    rho = load_state(args.state)
     cfg = _optimizer_config(args)
-    try:
-        payload = _compute_payload(rho, args.measure, args.method, cfg)
-    except DimensionLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = json.dumps(payload, sort_keys=True)
+    payload = _compute_payload(rho, args.measure, args.method, cfg)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -250,8 +216,7 @@ def surface_rows(level: float, resolution: int) -> list[tuple[float, float, floa
 
 def _cmd_surface(args) -> int:
     if not 0.0 < args.level <= 1.0:
-        print(f"error: level must lie in (0, 1], got {args.level}", file=sys.stderr)
-        return 2
+        raise _InputError(f"level must lie in (0, 1], got {args.level}")
     rows = surface_rows(args.level, args.resolution)
     _write_csv(args.out, ["c1", "c2", "c3", "face_id"], rows)
     params = {"level": args.level, "resolution": args.resolution}
@@ -286,13 +251,14 @@ def _cmd_region(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    c0 = np.array([float(v) for v in args.c0.split(",")])
+    try:
+        c0 = np.array([float(v) for v in args.c0.split(",")])
+    except ValueError as exc:
+        raise _InputError(f"--c0 expects three comma-separated numbers: {exc}") from exc
     if c0.size != 3:
-        print("error: --c0 expects three comma-separated numbers", file=sys.stderr)
-        return 2
+        raise _InputError("--c0 expects three comma-separated numbers")
     if not in_tetrahedron(c0):
-        print(f"error: initial triple {tuple(c0)} is not physical", file=sys.stderr)
-        return 3
+        raise StateInvariantError(f"initial triple {tuple(c0)} is not physical")
     times = np.linspace(0.0, args.tmax, args.grid)
     trace = dynamics_sweep(c0, args.axis, args.sided, times)
     rows = [
@@ -448,8 +414,15 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def _add_optimizer_flags(sub) -> None:
-    sub.add_argument("--grid", type=int, default=64, help="sphere grid resolution")
+    sub.add_argument("--grid", type=_positive_int, default=64, help="sphere grid resolution")
     sub.add_argument("--restarts", type=int, default=4, help="optimizer restarts")
     sub.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed")
@@ -480,14 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     surface = subs.add_parser("surface", help="sample a constant trace-MIN level surface")
     surface.add_argument("--level", type=float, required=True)
-    surface.add_argument("--resolution", type=int, default=41)
+    surface.add_argument("--resolution", type=_positive_int, default=41)
     surface.add_argument("--out", required=True)
     surface.add_argument("--seed", type=int, default=0)
     surface.set_defaults(func=_cmd_surface)
 
     region = subs.add_parser("region", help="sample a flip-channel freezing region")
     region.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)
-    region.add_argument("--resolution", type=int, default=21)
+    region.add_argument("--resolution", type=_positive_int, default=21)
     region.add_argument("--out", required=True)
     region.add_argument("--seed", type=int, default=0)
     region.set_defaults(func=_cmd_region)
@@ -496,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--c0", required=True, help="initial triple, e.g. 0.2,0.3,0.45")
     sweep.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)
     sweep.add_argument("--sided", choices=("one", "two"), default="one")
-    sweep.add_argument("--grid", type=int, default=41, help="number of time points")
+    sweep.add_argument("--grid", type=_positive_int, default=41, help="number of time points")
     sweep.add_argument("--tmax", type=float, default=5.0, help="largest gamma*t")
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--seed", type=int, default=0)
@@ -504,8 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = subs.add_parser("audit", help="run a self-audit suite")
     audit.add_argument("--kind", choices=("monotonicity", "relations", "oracle"), required=True)
-    audit.add_argument("--counts", type=int, default=100)
-    audit.add_argument("--channels", type=int, default=1, help="channels per state (monotonicity)")
+    audit.add_argument("--counts", type=_positive_int, default=100)
+    audit.add_argument(
+        "--channels", type=_positive_int, default=1, help="channels per state (monotonicity)"
+    )
     audit.add_argument("--out", default=None)
     _add_optimizer_flags(audit)
     audit.set_defaults(func=_cmd_audit)
@@ -515,7 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -44,6 +44,33 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def _local_action(mat: np.ndarray, ops, dims: tuple[int, int], party: str) -> np.ndarray:
+    """Sum_k (K_k x I) mat (K_k x I)^dag (party "A") or (I x K_k) ... (party "B").
+
+    ``ops`` is a stack (k, d, d) of operators on that party, or a batch of
+    stacks (N, k, d, d), which gives N outputs.  Works on the
+    (dA, dB, dA, dB) reshape of ``mat``: the left factor is one matrix
+    product for the whole batch, the right factor one ``einsum``; no
+    operator is lifted to the full space.
+    """
+    da, db = dims
+    n = da * db
+    ops = np.asarray(ops)
+    lead = ops.shape[:-2]
+    if party == "A":
+        # left[..., k, a, b, d, e] = sum_c K[a, c] mat[(c, b), (d, e)]
+        left = (ops.reshape(-1, da) @ mat.reshape(da, db * n)).reshape(lead + (n, da, db))
+        out = np.einsum("...kfd,...kxde->...xfe", ops.conj(), left)
+    elif party == "B":
+        # left[..., k, b, a, (d, e)] = sum_c K[b, c] mat[(a, c), (d, e)]
+        rows = mat.reshape(da, db, n).transpose(1, 0, 2).reshape(db, da * n)
+        left = (ops.reshape(-1, db) @ rows).reshape(lead + (db, da, da, db))
+        out = np.einsum("...kbade,...kfe->...abdf", left, ops.conj())
+    else:
+        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
+    return out.reshape(lead[:-1] + (n, n))
+
+
 def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
     """Trace out one party of a bipartite operator.
 

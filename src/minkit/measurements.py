@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, hermitian_eig, hs_norm, is_hermitian, tensor_product
+from .linalg import PAULIS, _local_action, hermitian_eig, hs_norm, is_hermitian
 from .states import DensityMatrix, validate
 
 PROJECTOR_TOL = 1e-10
@@ -58,12 +58,7 @@ def local_measurement(projectors, tol: float = PROJECTOR_TOL) -> LocalMeasuremen
 
 def apply_projectors(mat: np.ndarray, m: LocalMeasurement, db: int) -> np.ndarray:
     """Post-measurement matrix sum_k (P_k x I) mat (P_k x I), unvalidated."""
-    out = np.zeros_like(mat)
-    idb = np.eye(db, dtype=complex)
-    for p in m.projectors:
-        big = tensor_product(p, idb)
-        out += big @ mat @ big
-    return out
+    return _local_action(mat, m.projectors, (m.dim, db), "A")
 
 
 def apply_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:
@@ -75,9 +70,7 @@ def apply_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:
 
 def is_invariant(m: LocalMeasurement, rho_a: np.ndarray, tol: float = INVARIANCE_TOL) -> bool:
     """Whether the measurement leaves the reduced state unchanged."""
-    out = np.zeros_like(rho_a, dtype=complex)
-    for p in m.projectors:
-        out += p @ rho_a @ p
+    out = _local_action(rho_a, m.projectors, (m.dim, 1), "A")
     return hs_norm(out - rho_a) <= tol
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PAULIS, dagger, psd_sqrt
+from .linalg import PAULIS, _local_action, dagger, psd_sqrt
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
@@ -76,8 +76,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.sphere_grid < 8:
             raise ValueError("sphere_grid must be >= 8")
+        if self.refine_iters < 0:
+            raise ValueError("refine_iters must be >= 0")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.degeneracy_tol < 0:
+            raise ValueError("degeneracy_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -221,6 +227,41 @@ def _check_isotropic_args(d: int, x: float) -> None:
         raise ValueError(f"x must lie in [0, 1], got {x}")
 
 
+def closed_form(rho: DensityMatrix, measure: str) -> float | None:
+    """Closed-form value of ``measure`` when the state's family has one.
+
+    ``measure`` is "n1" (trace MIN), "n2" (HS MIN) or "nb" (Bures MIN, which
+    has no closed form).  Returns None when no closed form applies.
+    """
+    if measure not in ("n1", "n2", "nb"):
+        raise ValueError(f"measure must be 'n1', 'n2' or 'nb', got {measure!r}")
+    if measure == "nb":
+        return None
+    return _closed_value(rho, measure == "n1", *detect_family(rho))
+
+
+def _closed_value(rho: DensityMatrix, trace: bool, family: str, params: dict) -> float | None:
+    """Trace (``trace``) or HS closed form for a state of a detected family."""
+    if family == "pure":
+        form = params["schmidt"]
+        if rho.da == 2:
+            return trace_min_pure(form) if trace else hs_min_pure(form)
+        m = rho.da
+        if rho.db >= m and np.abs(form.coefficients - 1.0 / m).max() <= 1e-9:
+            return max_entangled_trace_min(m) if trace else (m - 1) / m
+        return None
+    if family == "bell_diagonal":
+        a = np.sort(np.abs(params["c"]))[::-1]
+        return float(a[0]) if trace else float(a[0] ** 2 + a[1] ** 2) / 4.0
+    if family == "werner":
+        return (trace_min_werner if trace else hs_min_werner)(params["d"], params["x"])
+    if family == "isotropic":
+        return (trace_min_isotropic if trace else hs_min_isotropic)(params["d"], params["x"])
+    if rho.dims == (2, 2):
+        return (trace_min_two_qubit if trace else hs_min_two_qubit)(rho).value
+    return None
+
+
 def direction_objective(e_hat: np.ndarray, c: np.ndarray) -> float:
     """Closed-form sphere objective for states with diagonal tensor and x = 0.
 
@@ -281,8 +322,8 @@ class _Disturbance:
     """Evaluates one disturbance measure for a fixed state.
 
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
-    (2(1 - sqrt(fidelity))).  The sphere path is vectorized over batches of
-    measurement directions.
+    (2(1 - sqrt(fidelity))).  Every evaluation goes through ``of_posts``,
+    which takes a stack of post-measurement matrices and counts them.
     """
 
     def __init__(self, rho: DensityMatrix, which: str):
@@ -292,44 +333,32 @@ class _Disturbance:
         self.evals = 0
         self._sqrt = psd_sqrt(rho.mat) if which == "bures" else None
 
-    def _from_post(self, post: np.ndarray) -> float:
-        self.evals += 1
+    def of_posts(self, posts: np.ndarray) -> np.ndarray:
+        """Disturbance of each post-measurement matrix in a stack (N, n, n)."""
+        self.evals += len(posts)
         if self.which == "trace":
-            diff = self.mat - post
-            return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+            return np.abs(np.linalg.eigvalsh(self.mat - posts)).sum(axis=-1)
         if self.which == "hs":
-            diff = self.mat - post
-            return float((np.abs(diff) ** 2).sum())
-        inner = self._sqrt @ post @ self._sqrt
-        w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-        fid = min(float(np.sqrt(np.clip(w, 0.0, None)).sum()) ** 2, 1.0)
-        return 2.0 * (1.0 - math.sqrt(fid))
+            return (np.abs(self.mat - posts) ** 2).sum(axis=(-2, -1))
+        inner = self._sqrt @ posts @ self._sqrt
+        w = np.linalg.eigvalsh((inner + np.conj(np.swapaxes(inner, -1, -2))) / 2)
+        fid = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
+        return 2.0 * (1.0 - np.sqrt(fid))
 
     def at_measurement(self, m: LocalMeasurement) -> float:
-        return self._from_post(apply_projectors(self.mat, m, self.dims[1]))
+        return float(self.of_posts(apply_projectors(self.mat, m, self.dims[1])[None])[0])
 
     def sphere_batch(self, vecs: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Values for a batch of qubit measurement directions (dA = 2)."""
-        db = self.dims[1]
-        idb = np.eye(db, dtype=complex)
+        """Values for a batch of qubit measurement directions (dA = 2).
+
+        The two projectors (I +- E)/2 with E = e.sigma give the
+        post-measurement matrix (rho + E rho E) / 2.
+        """
         out = np.empty(len(vecs))
         for lo in range(0, len(vecs), chunk):
-            v = vecs[lo : lo + chunk]
-            es = np.einsum("ni,ijk->njk", v, PAULIS)
-            big = np.einsum("nab,cd->nacbd", es, idb).reshape(len(v), 2 * db, 2 * db)
-            # sum of the two projected corners equals (rho + E rho E) / 2
-            post = (self.mat + big @ self.mat @ big) / 2
-            if self.which == "trace":
-                vals = np.abs(np.linalg.eigvalsh(self.mat - post)).sum(axis=-1)
-            elif self.which == "hs":
-                vals = (np.abs(self.mat - post) ** 2).sum(axis=(1, 2))
-            else:
-                inner = self._sqrt @ post @ self._sqrt
-                w = np.linalg.eigvalsh((inner + np.conj(np.swapaxes(inner, -1, -2))) / 2)
-                fid = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
-                vals = 2.0 * (1.0 - np.sqrt(fid))
-            out[lo : lo + len(v)] = vals
-        self.evals += len(vecs)
+            es = (vecs[lo : lo + chunk] @ PAULIS.reshape(3, 4)).reshape(-1, 1, 2, 2)
+            posts = (self.mat + _local_action(self.mat, es, self.dims, "A")) / 2
+            out[lo : lo + len(es)] = self.of_posts(posts)
         return out
 
     def at_direction(self, theta: float, phi: float) -> float:
@@ -495,52 +524,30 @@ def relation_report(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> d
 
     The left side is the closed-form trace MIN; the right side applies the
     family identity to an independently maximized numeric HS MIN.  Raises
-    ``ValueError`` for states outside the supported families.
+    ``ValueError`` for states outside the supported families.  A maximally
+    entangled m x n pure state (m > 2) obeys the identity of the isotropic
+    family it belongs to at unit fidelity.
     """
     cfg = cfg or OptimizerConfig()
     family, params = detect_family(rho)
+    lhs = None if family == "generic" else _closed_value(rho, True, family, params)
+    if lhs is None:
+        raise ValueError("state does not belong to a family with a known trace/hs identity")
+    hs = hs_min_numeric(rho, cfg).value
     if family == "pure" and rho.da > 2:
-        # A maximally entangled m x n pure state obeys the same identity as
-        # the isotropic family it belongs to at unit fidelity.
-        lam = params["schmidt"].coefficients
         m = rho.da
-        if rho.db >= m and np.abs(lam - 1.0 / m).max() <= 1e-9:
-            lhs = max_entangled_trace_min(m)
-            hs = hs_min_numeric(rho, cfg).value
-            rhs = 2.0 * math.sqrt((m - 1) * hs / m)
-            return {
-                "family": "pure",
-                "identity": "trace = 2 sqrt((m-1) hs / m)",
-                "lhs": float(lhs),
-                "rhs": float(rhs),
-                "residual": float(abs(lhs - rhs)),
-            }
-        raise ValueError("no known trace/hs identity for this pure state")
-    if family == "pure":
-        lhs = trace_min_pure(params["schmidt"])
-        hs = hs_min_numeric(rho, cfg).value
-        rhs = math.sqrt(2.0 * hs)
-        identity = "trace = sqrt(2 * hs)"
+        identity, rhs = "trace = 2 sqrt((m-1) hs / m)", 2.0 * math.sqrt((m - 1) * hs / m)
+    elif family == "pure":
+        identity, rhs = "trace = sqrt(2 * hs)", math.sqrt(2.0 * hs)
     elif family == "bell_diagonal":
-        a = np.sort(np.abs(params["c"]))[::-1]
-        lhs = float(a[0])
-        hs = hs_min_numeric(rho, cfg).value
-        rhs = math.sqrt(max(4.0 * hs - a[1] ** 2, 0.0))
-        identity = "trace = sqrt(4 * hs - mid^2)"
+        mid = np.sort(np.abs(params["c"]))[1]
+        identity, rhs = "trace = sqrt(4 * hs - mid^2)", math.sqrt(max(4.0 * hs - mid**2, 0.0))
     elif family == "werner":
-        d, x = params["d"], params["x"]
-        lhs = trace_min_werner(d, x)
-        hs = hs_min_numeric(rho, cfg).value
-        rhs = math.sqrt(d * (d - 1) * hs)
-        identity = "trace = sqrt(d (d-1) hs)"
-    elif family == "isotropic":
-        d, x = params["d"], params["x"]
-        lhs = trace_min_isotropic(d, x)
-        hs = hs_min_numeric(rho, cfg).value
-        rhs = 2.0 * math.sqrt((d - 1) * hs / d)
-        identity = "trace = 2 sqrt((d-1) hs / d)"
+        d = params["d"]
+        identity, rhs = "trace = sqrt(d (d-1) hs)", math.sqrt(d * (d - 1) * hs)
     else:
-        raise ValueError("state does not belong to a family with a known identity")
+        d = params["d"]
+        identity, rhs = "trace = 2 sqrt((d-1) hs / d)", 2.0 * math.sqrt((d - 1) * hs / d)
     report = {
         "family": family,
         "identity": identity,

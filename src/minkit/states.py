@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .linalg import (
     PAULIS,
@@ -20,7 +19,6 @@ from .linalg import (
     hermitian_eig,
     is_hermitian,
     partial_trace,
-    tensor_product,
 )
 
 HERM_TOL = 1e-10
@@ -92,10 +90,12 @@ def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Check density-matrix invariants and wrap the matrix.
 
     Raises ``StateInvariantError`` naming the first failed invariant:
-    shape, Hermiticity (1e-10/entry), unit trace (1e-10), positivity
-    (eigenvalues above the clamp tolerance).
+    positive dims, shape, Hermiticity (1e-10/entry), unit trace (1e-10),
+    positivity (eigenvalues above the clamp tolerance).
     """
     da, db = int(dims[0]), int(dims[1])
+    if da < 1 or db < 1:
+        raise StateInvariantError(f"dims must be positive, got {dims}")
     mat = np.asarray(mat, dtype=complex)
     n = da * db
     if mat.shape != (n, n):
@@ -196,34 +196,25 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     return BlochForm(x=x, y=y, t=t, c=np.diagonal(t).copy())
 
 
-def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
-    """SU(2) element whose adjoint action equals the SO(3) rotation ``r``."""
-    qx, qy, qz, qw = Rotation.from_matrix(r).as_quat()
-    return qw * np.eye(2, dtype=complex) - 1j * (qx * PAULIS[0] + qy * PAULIS[1] + qz * PAULIS[2])
-
-
 def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
     """Rotate a two-qubit state by local unitaries to diagonalize its tensor.
 
-    The correlation tensor is SVD-factored with determinant signs absorbed
-    so both rotations are proper, then each is lifted to SU(2).  The output
-    tensor is ``diag(c)`` with entries ordered by decreasing magnitude;
-    signs are whatever the proper-rotation constraint forces.
+    The correlation tensor is SVD-factored, T = O1 diag(c) O2^T, with
+    determinant signs absorbed so both O1 and O2 are proper rotations; local
+    unitaries act on Bloch vectors as these rotations, so the rotated state
+    has local vectors O1^T x, O2^T y and tensor ``diag(c)``.  The entries of
+    ``c`` are ordered by decreasing magnitude; the last carries the sign
+    that the proper-rotation constraint forces.
     """
     form = bloch_decompose(rho)
     u, s, vh = np.linalg.svd(form.t)
-    o2 = vh.T
     d1 = float(np.sign(np.linalg.det(u))) or 1.0
-    d2 = float(np.sign(np.linalg.det(o2))) or 1.0
-    o1 = u.copy()
-    o1[:, 2] *= d1
-    o2 = o2.copy()
-    o2[:, 2] *= d2
-    va = _su2_from_rotation(o1.T)
-    wb = _su2_from_rotation(o2.T)
-    local = tensor_product(va, wb)
-    out = validate(local @ rho.mat @ dagger(local), (2, 2))
-    return out, bloch_decompose(out)
+    d2 = float(np.sign(np.linalg.det(vh))) or 1.0
+    c = np.array([s[0], s[1], d1 * d2 * s[2]])
+    x = (u.T @ form.x) * [1.0, 1.0, d1]
+    y = (vh @ form.y) * [1.0, 1.0, d2]
+    t = np.diag(c)
+    return validate(bloch_matrix(x, y, t), (2, 2)), BlochForm(x=x, y=y, t=t, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -439,5 +430,5 @@ def load_state(path) -> DensityMatrix:
 def save_state(rho: DensityMatrix, path) -> None:
     """Write a density matrix to a JSON state file."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(state_to_json(rho), fh)
+        json.dump(state_to_json(rho), fh, allow_nan=False)
         fh.write("\n")

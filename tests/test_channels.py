@@ -185,14 +185,6 @@ class TestDynamicsSweep:
         with pytest.raises(ValueError, match="physical"):
             dynamics_sweep([1.0, 1.0, 1.0], 3, "one", np.array([0.0]))
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        times = np.linspace(0.0, 3.0, 13)
-        serial = dynamics_sweep([0.2, 0.3, 0.45], 3, "one", times)
-        monkeypatch.setenv("MINKIT_THREADS", "4")
-        threaded = dynamics_sweep([0.2, 0.3, 0.45], 3, "one", times)
-        np.testing.assert_array_equal(serial.n1_t, threaded.n1_t)
-        np.testing.assert_array_equal(serial.n2_t, threaded.n2_t)
-
 
 class TestFreezingRegion:
     def test_reference_points(self):

@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: outputs, schemas, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import minkit
 from minkit.cli import main, surface_rows
 from minkit.linalg import tensor_product
 from minkit.states import (
@@ -94,6 +98,35 @@ class TestCompute:
         save_state(make_bell_diagonal([0.2, 0.1, 0.0]), bd)
         assert main(["compute", str(bd), "--measure", "nb", "--method", "closed"]) == 1
         capsys.readouterr()
+
+        # optimizer settings the library rejects are malformed input
+        assert main(["compute", str(bd), "--restarts", "0"]) == 2
+        assert main(["compute", str(bd), "--grid", "4"]) == 2
+        assert main(["compute", str(bd), "--degeneracy-tol", "-1"]) == 2
+        capsys.readouterr()
+
+        negdims = tmp_path / "negdims.json"
+        m = np.eye(4) / 4
+        negdims.write_text(json.dumps({"dims": [-2, -2], "re": m.tolist(), "im": (0 * m).tolist()}))
+        assert main(["compute", str(negdims)]) == 3
+        capsys.readouterr()
+
+        out = str(tmp_path / "x.csv")
+        for argv in (
+            ["audit", "--kind", "oracle", "--counts", "0"],
+            ["audit", "--kind", "monotonicity", "--channels", "0"],
+            ["sweep", "--c0", "0.2,0.3,0.45", "--axis", "3", "--grid", "0", "--out", out],
+            ["region", "--axis", "3", "--resolution", "-3", "--out", out],
+            ["surface", "--level", "0.45", "--resolution", "0", "--out", out],
+            ["compute", str(bd), "--grid", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert main(["sweep", "--c0", "a,b,c", "--axis", "3", "--out", out]) == 2
+        assert main(["sweep", "--c0", "0.1,0.2", "--axis", "3", "--out", out]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "x.csv").exists()
 
     def test_out_file_and_manifest(self, capsys, bd_state, tmp_path):
         out_path = tmp_path / "report.json"
@@ -273,3 +306,13 @@ class TestAudit:
         _run(capsys, args + ["--out", str(a)])
         _run(capsys, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(minkit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, minkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    ).stdout
+    assert out.strip() == "False"

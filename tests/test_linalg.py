@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from minkit.linalg import (
     PAULIS,
     HermEig,
+    _local_action,
     dagger,
     fidelity,
     hermitian_eig,
@@ -55,6 +56,58 @@ class TestTensorProduct:
             a, b = _random_matrix(rng, 2), _random_matrix(rng, 3)
             got = trace_norm(tensor_product(a, b))
             assert abs(got - trace_norm(a) * trace_norm(b)) <= 1e-10
+
+
+def _kron_action(mat, ops, dims, party):
+    """Reference local action through operators lifted with an explicit kron."""
+    da, db = dims
+    out = np.zeros_like(mat)
+    for k in ops:
+        big = np.kron(k, np.eye(db)) if party == "A" else np.kron(np.eye(da), k)
+        out += big @ mat @ dagger(big)
+    return out
+
+
+class TestLocalAction:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_kraus_sets_match_kron(self, dims, party):
+        rng = np.random.default_rng(sum(dims) + (party == "B"))
+        d = dims[0] if party == "A" else dims[1]
+        mat = _random_density(rng, dims[0] * dims[1])
+        for count in (1, 2, 4):
+            # Kraus set from the row blocks of a random isometry
+            q, _ = np.linalg.qr(_random_matrix(rng, d * count)[:, :d])
+            ops = q.reshape(count, d, d)
+            got = _local_action(mat, ops, dims, party)
+            np.testing.assert_allclose(got, _kron_action(mat, ops, dims, party), atol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_projector_sets_match_kron(self, dims, party):
+        rng = np.random.default_rng(10 + sum(dims) + (party == "B"))
+        d = dims[0] if party == "A" else dims[1]
+        mat = _random_density(rng, dims[0] * dims[1])
+        u = random_unitary(d, rng)
+        ops = np.stack([np.outer(u[:, k], u[:, k].conj()) for k in range(d)])
+        got = _local_action(mat, ops, dims, party)
+        np.testing.assert_allclose(got, _kron_action(mat, ops, dims, party), atol=1e-14)
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_batch_matches_one_at_a_time(self, party):
+        rng = np.random.default_rng(3)
+        dims = (3, 2)
+        d = dims[0] if party == "A" else dims[1]
+        mat = _random_matrix(rng, 6)
+        batch = np.stack([[_random_matrix(rng, d) for _ in range(2)] for _ in range(5)])
+        got = _local_action(mat, batch, dims, party)
+        assert got.shape == (5, 6, 6)
+        for ops, out in zip(batch, got):
+            np.testing.assert_allclose(out, _kron_action(mat, ops, dims, party), atol=1e-13)
+
+    def test_rejects_unknown_party(self):
+        with pytest.raises(ValueError, match="party"):
+            _local_action(np.eye(4), np.eye(2)[None], (2, 2), "C")
 
 
 class TestPartialTrace:

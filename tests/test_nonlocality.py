@@ -13,6 +13,7 @@ from minkit.nonlocality import (
     METHOD_UNIQUE,
     OptimizerConfig,
     bures_min_numeric,
+    closed_form,
     direction_objective,
     hs_min_isotropic,
     hs_min_pure,
@@ -245,6 +246,12 @@ class TestOptimizerConfig:
             OptimizerConfig(sphere_grid=4)
         with pytest.raises(ValueError):
             OptimizerConfig(tol=0.0)
+        with pytest.raises(ValueError, match="restarts"):
+            OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError, match="refine_iters"):
+            OptimizerConfig(refine_iters=-1)
+        with pytest.raises(ValueError, match="degeneracy_tol"):
+            OptimizerConfig(degeneracy_tol=-1e-8)
 
     def test_sphere_grid_contains_coordinate_axes(self):
         _, vecs = sphere_directions(64)
@@ -331,3 +338,25 @@ class TestRelationReport:
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="family"):
             relation_report(random_density((2, 2), 4, 41))
+
+
+class TestClosedForm:
+    def test_family_values(self):
+        bd = make_bell_diagonal([0.45, 0.3, 0.2])
+        assert closed_form(bd, "n1") == pytest.approx(0.45, abs=1e-12)
+        assert closed_form(bd, "n2") == pytest.approx(0.073125, abs=1e-12)
+        assert closed_form(make_werner(3, 0.7), "n1") == pytest.approx(trace_min_werner(3, 0.7))
+        assert closed_form(make_isotropic(3, 0.9), "n2") == pytest.approx(
+            hs_min_isotropic(3, 0.9)
+        )
+        generic = random_density((2, 2), 3, 5)
+        assert closed_form(generic, "n1") == trace_min_two_qubit(generic).value
+        assert closed_form(generic, "n2") == hs_min_two_qubit(generic).value
+
+    def test_none_without_closed_form(self):
+        assert closed_form(make_bell_diagonal([0.45, 0.3, 0.2]), "nb") is None
+        assert closed_form(random_density((2, 3), 3, 6), "n1") is None
+
+    def test_rejects_unknown_measure(self):
+        with pytest.raises(ValueError, match="measure"):
+            closed_form(make_bell_diagonal([0.1, 0.1, 0.1]), "n3")

@@ -53,6 +53,10 @@ class TestValidate:
         with pytest.raises(StateInvariantError, match="Hermitian"):
             validate(m, (2, 2))
 
+    def test_rejects_non_positive_dims(self):
+        with pytest.raises(StateInvariantError, match="dims"):
+            validate(np.eye(4, dtype=complex) / 4, (-2, -2))
+
     def test_werner_passes(self):
         rho = make_werner(2, 0.5)
         validate(rho.mat, (2, 2))
@@ -138,6 +142,14 @@ class TestCanonicalize:
             np.testing.assert_allclose(
                 np.linalg.eigvalsh(out.mat), np.linalg.eigvalsh(rho.mat), atol=1e-10
             )
+
+    def test_form_matches_decomposition_of_output(self):
+        rng = np.random.default_rng(16)
+        for rank in (1, 2, 3, 4):
+            out, form = canonicalize(random_density((2, 2), rank, rng))
+            again = bloch_decompose(out)
+            for field in ("x", "y", "t", "c"):
+                np.testing.assert_allclose(getattr(form, field), getattr(again, field), atol=1e-12)
 
     def test_preserves_numeric_nonlocality(self):
         rng = np.random.default_rng(15)
