@@ -24,6 +24,7 @@ from .nonlocality import (
 )
 from .states import (
     DensityMatrix,
+    bell_diagonal_weights,
     in_tetrahedron,
     make_bell_diagonal,
     random_density,
@@ -96,12 +97,8 @@ def flip_channel(axis: int, p: float) -> KrausChannel:
 
 def completely_depolarizing(d: int) -> KrausChannel:
     """Channel mapping every state to the maximally mixed one."""
-    ops = []
-    for i in range(d):
-        for j in range(d):
-            k = np.zeros((d, d), dtype=complex)
-            k[i, j] = 1.0 / math.sqrt(d)
-            ops.append(k)
+    # K_(i, j) = |i><j| / sqrt(d), in row-major (i, j) order
+    ops = np.eye(d * d, dtype=complex).reshape(d * d, d, d) / math.sqrt(d)
     return KrausChannel(ops=tuple(ops), label="depolarizing")
 
 
@@ -223,20 +220,21 @@ def freezing_vertices(axis: int) -> tuple[tuple, tuple]:
     return pos, neg
 
 
-def classify_freezing(c, axis: int, tol: float = 1e-9) -> str:
+_FREEZING_LABELS = np.array(["outside", "boundary", "inside"])
+
+
+def classify_freezing(c, axis: int, tol: float = 1e-9) -> str | np.ndarray:
     """Classify a physical triple against the freezing region of ``axis``.
 
     "inside" means the on-axis correlation strictly dominates (the trace
     MIN survives the noise forever), "boundary" a tie, "outside" otherwise.
+    A stack of triples (..., 3) gives an array of labels; one triple a str.
     """
-    c = np.asarray(c, dtype=float)
-    on_axis = abs(c[axis - 1])
-    others = max(abs(c[i]) for i in range(3) if i != axis - 1)
-    if on_axis > others + tol:
-        return "inside"
-    if on_axis >= others - tol:
-        return "boundary"
-    return "outside"
+    a = np.abs(np.asarray(c, dtype=float)).T
+    on_axis = a[axis - 1]
+    others = np.maximum(*(a[i] for i in range(3) if i != axis - 1))
+    flags = _FREEZING_LABELS[np.where(on_axis > others + tol, 2, on_axis >= others - tol)]
+    return str(flags) if flags.ndim == 0 else flags.T
 
 
 def freezing_region(axis: int, resolution: int = 0) -> dict:
@@ -246,21 +244,15 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
     points per axis and every physical triple is classified.
     """
     pos, neg = freezing_vertices(axis)
-    samples = []
-    if resolution > 0:
-        grid = np.linspace(-1.0, 1.0, resolution)
-        for c1 in grid:
-            for c2 in grid:
-                for c3 in grid:
-                    c = np.array([c1, c2, c3])
-                    if not in_tetrahedron(c, tol=1e-12):
-                        continue
-                    samples.append((float(c1), float(c2), float(c3), classify_freezing(c, axis)))
+    grid = np.linspace(-1.0, 1.0, max(resolution, 0))
+    cube = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
+    points = cube[bell_diagonal_weights(cube).min(axis=-1) >= -1e-12]
+    flags = classify_freezing(points, axis)
     return {
         "axis": axis,
         "channel": FLIP_LABELS[axis],
         "vertices": {"positive": [list(v) for v in pos], "negative": [list(v) for v in neg]},
-        "samples": samples,
+        "samples": [(*p, f) for p, f in zip(points.tolist(), flags.tolist())],
     }
 
 

@@ -39,6 +39,7 @@ from .states import (
     DensityMatrix,
     StateFormatError,
     StateInvariantError,
+    bell_diagonal_weights,
     bloch_decompose,
     canonicalize,
     density_from_pure,
@@ -153,7 +154,7 @@ def _measurement_payload(result: MinResult) -> dict | None:
 
 
 def _compute_payload(rho: DensityMatrix, measure: str, method: str, cfg: OptimizerConfig) -> dict:
-    closed = closed_form(rho, measure) if method in ("auto", "closed") else None
+    closed = closed_form(rho, measure, cfg.degeneracy_tol) if method != "numeric" else None
     if method == "closed" and closed is None:
         raise ValueError(f"no closed form available for measure {measure!r} on this state")
     if closed is not None:
@@ -195,23 +196,18 @@ def _cmd_compute(args) -> int:
 
 
 def surface_rows(level: float, resolution: int) -> list[tuple[float, float, float, int]]:
-    """Sample the six faces of the constant-trace-MIN cube clipped to the tetrahedron."""
+    """Sample the six faces of the constant-trace-MIN cube clipped to the tetrahedron.
+
+    Face ``2 * axis + k`` holds c[axis] = +level (k = 0) or -level (k = 1).
+    """
     grid = np.linspace(-level, level, resolution)
-    rows = []
-    face = 0
-    for axis in range(3):
-        for sign in (1.0, -1.0):
-            others = [i for i in range(3) if i != axis]
-            for u in grid:
-                for v in grid:
-                    c = np.zeros(3)
-                    c[axis] = sign * level
-                    c[others[0]] = u
-                    c[others[1]] = v
-                    if in_tetrahedron(c, tol=1e-12):
-                        rows.append((float(c[0]), float(c[1]), float(c[2]), face))
-            face += 1
-    return rows
+    square = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    faces = np.stack(
+        [np.insert(square, axis, sign * level, axis=1) for axis in range(3) for sign in (1, -1)]
+    )
+    keep = bell_diagonal_weights(faces).min(axis=-1) >= -1e-12
+    face_ids = np.broadcast_to(np.arange(6)[:, None], keep.shape)
+    return [(*c, face) for c, face in zip(faces[keep].tolist(), face_ids[keep].tolist())]
 
 
 def _cmd_surface(args) -> int:

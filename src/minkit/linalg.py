@@ -16,8 +16,6 @@ import numpy as np
 PSD_CLAMP = 1e-10
 HERMITIAN_TOL = 1e-10
 
-I2 = np.eye(2, dtype=complex)
-
 # Pauli matrices, indexed 0..2 (x, y, z).
 PAULIS = np.array(
     [

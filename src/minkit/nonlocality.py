@@ -145,7 +145,7 @@ def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> Min
     _, form = canonicalize(rho)
     c, x = form.c, form.x
     xn = float(np.linalg.norm(x))
-    if xn < degenerate_tol:
+    if xn <= degenerate_tol:
         value = float(np.abs(c).max())
     else:
         value = _chi_branch_value(c, x)
@@ -180,7 +180,7 @@ def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> MinRes
     _, form = canonicalize(rho)
     c, x = form.c, form.x
     xn = float(np.linalg.norm(x))
-    if xn < degenerate_tol:
+    if xn <= degenerate_tol:
         a = np.sort(np.abs(c))[::-1]
         value = float(a[0] ** 2 + a[1] ** 2) / 4.0
     else:
@@ -227,20 +227,25 @@ def _check_isotropic_args(d: int, x: float) -> None:
         raise ValueError(f"x must lie in [0, 1], got {x}")
 
 
-def closed_form(rho: DensityMatrix, measure: str) -> float | None:
+def closed_form(rho: DensityMatrix, measure: str, degeneracy_tol: float = 1e-8) -> float | None:
     """Closed-form value of ``measure`` when the state's family has one.
 
     ``measure`` is "n1" (trace MIN), "n2" (HS MIN) or "nb" (Bures MIN, which
     has no closed form).  Returns None when no closed form applies.
+    ``degeneracy_tol`` is the branch threshold of the two-qubit closed forms;
+    pass the numeric optimizer's ``OptimizerConfig.degeneracy_tol`` so both
+    sides split the branches at the same |x|.
     """
     if measure not in ("n1", "n2", "nb"):
         raise ValueError(f"measure must be 'n1', 'n2' or 'nb', got {measure!r}")
     if measure == "nb":
         return None
-    return _closed_value(rho, measure == "n1", *detect_family(rho))
+    return _closed_value(rho, measure == "n1", *detect_family(rho), degeneracy_tol)
 
 
-def _closed_value(rho: DensityMatrix, trace: bool, family: str, params: dict) -> float | None:
+def _closed_value(
+    rho: DensityMatrix, trace: bool, family: str, params: dict, degeneracy_tol: float
+) -> float | None:
     """Trace (``trace``) or HS closed form for a state of a detected family."""
     if family == "pure":
         form = params["schmidt"]
@@ -258,7 +263,7 @@ def _closed_value(rho: DensityMatrix, trace: bool, family: str, params: dict) ->
     if family == "isotropic":
         return (trace_min_isotropic if trace else hs_min_isotropic)(params["d"], params["x"])
     if rho.dims == (2, 2):
-        return (trace_min_two_qubit if trace else hs_min_two_qubit)(rho).value
+        return (trace_min_two_qubit if trace else hs_min_two_qubit)(rho, degeneracy_tol).value
     return None
 
 
@@ -530,7 +535,9 @@ def relation_report(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> d
     """
     cfg = cfg or OptimizerConfig()
     family, params = detect_family(rho)
-    lhs = None if family == "generic" else _closed_value(rho, True, family, params)
+    lhs = None
+    if family != "generic":
+        lhs = _closed_value(rho, True, family, params, cfg.degeneracy_tol)
     if lhs is None:
         raise ValueError("state does not belong to a family with a known trace/hs identity")
     hs = hs_min_numeric(rho, cfg).value

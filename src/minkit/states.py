@@ -147,12 +147,7 @@ def schmidt(psi: PureState) -> SchmidtForm:
 def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
     """Amplitude vector rebuilt from Schmidt data."""
     roots = np.sqrt(np.clip(form.coefficients, 0.0, None))
-    da = form.basis_a.shape[0]
-    db = form.basis_b.shape[0]
-    out = np.zeros(da * db, dtype=complex)
-    for lam, a, b in zip(roots, form.basis_a.T, form.basis_b.T):
-        out += lam * np.kron(a, b)
-    return out
+    return ((form.basis_a * roots) @ form.basis_b.T).ravel()
 
 
 def eof_pure(form: SchmidtForm) -> float:
@@ -167,33 +162,29 @@ def eof_pure(form: SchmidtForm) -> float:
 # ---------------------------------------------------------------------------
 
 
+# (I, sigma_x, sigma_y, sigma_z): the two-qubit Pauli basis is their pairwise
+# tensor products.
+_PAULI_BASIS = np.concatenate([np.eye(2, dtype=complex)[None], PAULIS])
+
+
 def bloch_matrix(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Two-qubit matrix from local Bloch vectors and correlation tensor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    out = np.eye(4, dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-    for i in range(3):
-        out += x[i] * np.kron(PAULIS[i], i2)
-        out += y[i] * np.kron(i2, PAULIS[i])
-        for j in range(3):
-            out += t[i, j] * np.kron(PAULIS[i], PAULIS[j])
-    return out / 4
+    coeffs = np.vstack([np.r_[1.0, y], np.column_stack([x, t])])
+    # out[(a, b), (c, d)] = sum_ij coeffs[i, j] s_i[a, c] s_j[b, d] / 4
+    out = np.einsum("ij,iac,jbd->abcd", coeffs, _PAULI_BASIS, _PAULI_BASIS)
+    return out.reshape(4, 4) / 4
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     """Pauli expectation values of a two-qubit state."""
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit decomposition needs dims (2, 2), got {rho.dims}")
-    m = rho.mat
-    i2 = np.eye(2, dtype=complex)
-    x = np.array([np.trace(m @ np.kron(PAULIS[i], i2)).real for i in range(3)])
-    y = np.array([np.trace(m @ np.kron(i2, PAULIS[i])).real for i in range(3)])
-    t = np.array(
-        [[np.trace(m @ np.kron(PAULIS[i], PAULIS[j])).real for j in range(3)] for i in range(3)]
-    )
-    return BlochForm(x=x, y=y, t=t, c=np.diagonal(t).copy())
+    # coeffs[i, j] = tr(rho s_i x s_j), summed over the (2, 2, 2, 2) reshape
+    coeffs = np.einsum(
+        "abcd,ica,jdb->ij", rho.mat.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS
+    ).real
+    t = coeffs[1:, 1:].copy()
+    return BlochForm(x=coeffs[1:, 0].copy(), y=coeffs[0, 1:].copy(), t=t, c=np.diagonal(t).copy())
 
 
 def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
@@ -223,8 +214,13 @@ def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
 
 
 def bell_diagonal_weights(c: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Bell-diagonal state with correlation triple ``c``."""
-    c1, c2, c3 = np.asarray(c, dtype=float)
+    """Eigenvalues of the Bell-diagonal state with correlation triple ``c``.
+
+    ``c`` may be a stack of triples (..., 3); the weights are on the last
+    axis (..., 4).  The transposes put the triple axis first and back, so
+    one triple is computed on scalars.
+    """
+    c1, c2, c3 = np.asarray(c, dtype=float).T
     return np.array(
         [
             (1 + c1 - c2 + c3) / 4,
@@ -232,7 +228,7 @@ def bell_diagonal_weights(c: np.ndarray) -> np.ndarray:
             (1 + c1 + c2 - c3) / 4,
             (1 - c1 - c2 - c3) / 4,
         ]
-    )
+    ).T
 
 
 def in_tetrahedron(c: np.ndarray, tol: float = 1e-12) -> bool:
@@ -242,9 +238,7 @@ def in_tetrahedron(c: np.ndarray, tol: float = 1e-12) -> bool:
 
 def make_bell_diagonal(c: np.ndarray) -> DensityMatrix:
     """Two-qubit state with zero local vectors and tensor ``diag(c)``."""
-    c = np.asarray(c, dtype=float)
-    weights = bell_diagonal_weights(c)
-    if weights.min() < -1e-12:
+    if not in_tetrahedron(c):
         raise StateInvariantError(
             f"correlation triple {tuple(c)} lies outside the physical tetrahedron"
         )
@@ -253,19 +247,14 @@ def make_bell_diagonal(c: np.ndarray) -> DensityMatrix:
 
 def swap_operator(d: int) -> np.ndarray:
     """Exchange operator sum_ij |ij><ji| on a d x d system."""
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, j * d + i] = 1.0
-    return m
+    # eye[i, j, k, l] = delta_ik delta_jl; swapping k and l gives |ij><ji|
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def max_entangled(d: int) -> np.ndarray:
     """Amplitudes of the d x d maximally entangled state."""
-    v = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        v[i * d + i] = 1.0
-    return v / np.sqrt(d)
+    return np.eye(d, dtype=complex).ravel() / np.sqrt(d)
 
 
 def make_werner(d: int, x: float) -> DensityMatrix:

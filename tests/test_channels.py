@@ -1,5 +1,7 @@
 """Channels on party B, flip dynamics, ancilla laws, monotonicity audit."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from minkit.nonlocality import hs_min_numeric, trace_min_numeric
 from minkit.states import (
     StateInvariantError,
     bloch_decompose,
+    in_tetrahedron,
     make_bell_diagonal,
     random_density,
     reduced_state,
@@ -238,6 +241,41 @@ class TestFreezingRegion:
         assert report["samples"]
         for c1, c2, c3, flag in report["samples"]:
             assert flag == classify_freezing([c1, c2, c3], 3)
+
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_batched_labels_match_row_by_row(self, axis):
+        rng = np.random.default_rng(15)
+        grid = np.linspace(-1.0, 1.0, 9)
+        lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+        for stack in (lattice, rng.uniform(-1.0, 1.0, (40, 3))):
+            flags = classify_freezing(stack, axis)
+            assert flags.shape == stack.shape[:-1]
+            rows = [classify_freezing(c, axis) for c in stack.reshape(-1, 3)]
+            assert flags.reshape(-1).tolist() == rows
+        assert type(classify_freezing(lattice[0, 0, 0], axis)) is str
+
+    @pytest.mark.parametrize("resolution", [2, 5, 21, 33, 81])
+    @pytest.mark.parametrize("axis", [1, 2, 3])
+    def test_rows_match_per_point_loop(self, axis, resolution):
+        points = _physical_lattice(resolution)
+        expected = [(*c, classify_freezing(np.array(c), axis)) for c in points]
+        assert freezing_region(axis, resolution=resolution)["samples"] == expected
+
+    def test_empty_without_resolution(self):
+        assert freezing_region(3)["samples"] == []
+
+
+@functools.lru_cache(maxsize=None)
+def _physical_lattice(resolution):
+    """Physical triples of the [-1, 1]^3 lattice, one point at a time."""
+    grid = np.linspace(-1.0, 1.0, resolution)
+    points = []
+    for c1 in grid:
+        for c2 in grid:
+            for c3 in grid:
+                if in_tetrahedron(np.array([c1, c2, c3]), tol=1e-12):
+                    points.append((float(c1), float(c2), float(c3)))
+    return tuple(points)
 
 
 class TestMonotonicityAudit:

@@ -171,6 +171,26 @@ class TestSurface:
             # on a tetrahedron edge two of the four Bell weights vanish
             assert np.all(weights[:2] <= 1e-9)
 
+    @pytest.mark.parametrize("resolution", [2, 5, 21, 33, 81])
+    @pytest.mark.parametrize("level", [0.05, 1 / 3, 0.45, 0.5, 1.0])
+    def test_rows_match_per_point_loop(self, level, resolution):
+        grid = np.linspace(-level, level, resolution)
+        expected = []
+        face = 0
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                others = [i for i in range(3) if i != axis]
+                for u in grid:
+                    for v in grid:
+                        c = np.zeros(3)
+                        c[axis] = sign * level
+                        c[others[0]] = u
+                        c[others[1]] = v
+                        if in_tetrahedron(c, tol=1e-12):
+                            expected.append((float(c[0]), float(c[1]), float(c[2]), face))
+                face += 1
+        assert surface_rows(level, resolution) == expected
+
     def test_rejects_out_of_range_level(self, capsys):
         assert main(["surface", "--level", "1.5", "--out", "/tmp/x.csv"]) == 2
         capsys.readouterr()

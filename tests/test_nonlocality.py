@@ -1,9 +1,12 @@
 """Closed-form MIN evaluators and the numeric optimizers that back them."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkit.linalg import dagger, random_unitary, tensor_product
 from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
@@ -16,6 +19,7 @@ from minkit.nonlocality import (
     closed_form,
     direction_objective,
     hs_min_isotropic,
+    hs_min_numeric,
     hs_min_pure,
     hs_min_two_qubit,
     hs_min_werner,
@@ -360,3 +364,73 @@ class TestClosedForm:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError, match="measure"):
             closed_form(make_bell_diagonal([0.1, 0.1, 0.1]), "n3")
+
+
+# Correlation triples of the four Bell states; a convex combination with
+# weights w gives the Bell-diagonal state with eigenvalues w.
+_BELL_TRIPLES = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+class TestDegeneracyThreshold:
+    """Closed forms and numeric oracles split the branches at the same |x|."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1.0, 2.0), min_size=4, max_size=4),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        y=st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3),
+        log_tol=st.floats(-7.0, -5.0),
+        factor=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)),
+        seed=st.integers(0, 10_000),
+    )
+    def test_closed_and_numeric_take_the_same_branch(
+        self, weights, direction, y, log_tol, factor, seed
+    ):
+        tol = 10.0**log_tol
+        # every Bell weight is at least 1/7, far above the (|x| + |y|)/4 shift
+        c = np.array(weights) / sum(weights) @ _BELL_TRIPLES
+        x = tol * factor * np.array(direction) / np.linalg.norm(direction)
+        rng = np.random.default_rng(seed)
+        u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+        mat = bloch_matrix(x, np.array(y), np.diag(c))
+        rho = validate(u @ mat @ dagger(u), (2, 2))
+        degenerate = factor < 1.0
+        cfg = OptimizerConfig(degeneracy_tol=tol)
+        for measure, numeric_min in (("n1", trace_min_numeric), ("n2", hs_min_numeric)):
+            closed = closed_form(rho, measure, tol)
+            numeric = numeric_min(rho, cfg)
+            assert numeric.method == (METHOD_SPHERE if degenerate else METHOD_UNIQUE)
+            assert abs(closed - numeric.value) <= (1e-4 if degenerate else 1e-8)
+
+    @pytest.mark.parametrize("measure", ["n1", "n2"])
+    @pytest.mark.parametrize("tol", [2.0**-20, 0.0])
+    def test_exact_threshold_is_degenerate_on_both_sides(self, measure, tol):
+        # dyadic entries make |x| and the marginal gap exactly tol; x lies
+        # along the largest correlation, where the two branches differ most,
+        # and y != 0 keeps the state out of the Bell-diagonal family
+        c = np.diag([0.25, 0.125, 0.5])
+        y = np.array([0.0625, 0.0, 0.0])
+        rho = validate(bloch_matrix(np.array([0.0, 0.0, tol]), y, c), (2, 2))
+        numeric_min = {"n1": trace_min_numeric, "n2": hs_min_numeric}[measure]
+        numeric = numeric_min(rho, OptimizerConfig(degeneracy_tol=tol))
+        assert numeric.method == METHOD_SPHERE
+        assert abs(closed_form(rho, measure, tol) - numeric.value) <= 1e-4
+
+    def test_cli_passes_the_tolerance(self, tmp_path, capsys):
+        from minkit.cli import main
+        from minkit.states import save_state
+
+        # |x| = 5e-5 along the largest correlation: below a 1e-4 threshold the
+        # state is on the sphere branch (value 0.45), above 1e-8 on the
+        # unique branch (value 0.3)
+        c = np.array([0.2, 0.3, 0.45])
+        rho = validate(bloch_matrix(np.array([0.0, 0.0, 5e-5]), np.zeros(3), np.diag(c)), (2, 2))
+        path = tmp_path / "near.json"
+        save_state(rho, path)
+        for tol, value in (("1e-4", 0.45), ("1e-8", 0.3)):
+            assert main(["compute", str(path), "--degeneracy-tol", tol]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["value"] == pytest.approx(value, abs=1e-4)
+            assert payload["residual_vs_oracle"] <= 1e-4

@@ -8,6 +8,7 @@ from minkit.nonlocality import trace_min_numeric, trace_min_pure
 from minkit.states import (
     StateFormatError,
     StateInvariantError,
+    bell_diagonal_weights,
     bloch_decompose,
     bloch_matrix,
     canonicalize,
@@ -114,6 +115,39 @@ class TestBlochDecompose:
             assert np.abs(rebuilt - rho.mat).max() <= 1e-10
 
 
+def _kron_basis():
+    """sigma_i x sigma_j for i, j over (I, sigma_x, sigma_y, sigma_z), built with kron."""
+    basis = [np.eye(2, dtype=complex), *PAULIS]
+    return [[np.kron(a, b) for b in basis] for a in basis]
+
+
+class TestPauliKernels:
+    """The einsum kernels against the explicit sum over sigma_i x sigma_j."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_decompose_matches_kron_traces(self, rank):
+        rng = np.random.default_rng(60 + rank)
+        ops = _kron_basis()
+        for _ in range(10):
+            rho = random_density((2, 2), rank, rng)
+            ref = np.array([[np.trace(rho.mat @ op).real for op in row] for row in ops])
+            form = bloch_decompose(rho)
+            assert np.abs(form.x - ref[1:, 0]).max() <= 1e-14
+            assert np.abs(form.y - ref[0, 1:]).max() <= 1e-14
+            assert np.abs(form.t - ref[1:, 1:]).max() <= 1e-14
+            assert np.abs(form.c - np.diagonal(ref[1:, 1:])).max() <= 1e-14
+
+    def test_matrix_matches_kron_sum(self):
+        rng = np.random.default_rng(65)
+        ops = _kron_basis()
+        for _ in range(10):
+            x, y = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            t = rng.uniform(-1, 1, (3, 3))
+            coeffs = np.block([[np.ones((1, 1)), y[None, :]], [x[:, None], t]])
+            ref = sum(coeffs[i, j] * ops[i][j] for i in range(4) for j in range(4)) / 4
+            assert np.abs(bloch_matrix(x, y, t) - ref).max() <= 1e-14
+
+
 class TestCanonicalize:
     def test_fixed_point(self):
         rho = make_bell_diagonal([0.45, 0.3, 0.2])
@@ -184,6 +218,16 @@ class TestBellDiagonal:
         rng = np.random.default_rng(16)
         for _ in range(20):
             assert in_tetrahedron(random_bell_triple(rng))
+
+    def test_batched_weights_match_row_by_row(self):
+        rng = np.random.default_rng(17)
+        grid = np.linspace(-1.0, 1.0, 7)
+        lattice = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+        for stack in (rng.uniform(-1.0, 1.0, (50, 3)), lattice, np.array([1 / 3, 0.5, -1.0])):
+            weights = bell_diagonal_weights(stack)
+            assert weights.shape == stack.shape[:-1] + (4,)
+            rows = [bell_diagonal_weights(c) for c in stack.reshape(-1, 3)]
+            np.testing.assert_array_equal(weights.reshape(-1, 4), np.array(rows))
 
 
 class TestWerner:
