@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, psd_sqrt
+from .linalg import PAULIS, _local_action, dagger, hermitian_eig, psd_sqrt
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
@@ -63,7 +63,9 @@ class OptimizerConfig:
     ``degeneracy_tol`` doubles as the eigenvalue-gap threshold for the
     invariant-measurement family and as the branch threshold of the
     two-qubit closed form; the measures are discontinuous across it, so it
-    is exposed rather than hidden.
+    is exposed rather than hidden.  ``sphere_grid``, ``refine_iters`` and
+    ``restarts`` do not apply to HS MIN when dA = 2, whose maximum over the
+    Bloch sphere is taken in closed form.
     """
 
     sphere_grid: int = 64
@@ -311,16 +313,14 @@ def sphere_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     thetas = np.linspace(0.0, np.pi, n + 1)
     phis = np.arange(n) * (2.0 * np.pi / n)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    vecs = np.column_stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)])
-    return np.column_stack([tt, pp]), vecs
+    tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    return np.column_stack([tt, pp]), _angles_to_vec(tt, pp)
 
 
-def _angles_to_vec(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-    )
+def _angles_to_vec(theta, phi) -> np.ndarray:
+    """Unit vectors (..., 3) at polar angles ``theta`` and azimuths ``phi``."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 class _Disturbance:
@@ -366,64 +366,64 @@ class _Disturbance:
             out[lo : lo + len(es)] = self.of_posts(posts)
         return out
 
-    def at_direction(self, theta: float, phi: float) -> float:
-        return float(self.sphere_batch(_angles_to_vec(theta, phi)[None, :])[0])
 
-
-def _golden_max(f, lo: float, hi: float, iters: int = 22) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-ish function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+def _golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 22) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section maximization on all brackets [a_k, b_k], one ``f`` call per step."""
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
+        left = fc >= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = f(x)
+        c, d, fc, fd = (np.where(left, u, v) for u, v in ((x, d), (c, x), (fx, fd), (fc, fx)))
+    left = fc >= fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 def _optimize_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> MinResult:
+    """Maximize over the Bloch sphere (dA = 2, rho_A = I/2).
+
+    HS is exact: along e its disturbance is (tr G - e.G.e) / 2, with
+    G_ij = tr(Gamma_i Gamma_j) and Gamma_i = tr_A[(sigma_i x I) rho], so the
+    eigenvector of the least eigenvalue of G is optimal.  Trace and Bures
+    refine the best grid points by golden-section search with the restarts
+    in lockstep: each golden step is one ``sphere_batch`` call over the
+    restarts still live, and a restart stops on its own once a round gains
+    less than ``cfg.tol``.
+    """
+    if obj.which == "hs":
+        gam = np.einsum("ica,abcd->ibd", PAULIS, obj.mat.reshape(2, obj.dims[1], 2, -1))
+        axis = hermitian_eig(np.einsum("ibd,jdb->ij", gam, gam).real).eigenvectors[:, -1].real
+        value = float(obj.sphere_batch(axis[None])[0])
+    else:
+        value, axis = _refine_sphere(obj, cfg)
+    measurement = sphere_measurement(axis / np.linalg.norm(axis))
+    return MinResult(value, METHOD_SPHERE, measurement, axis=axis, iterations=obj.evals)
+
+
+def _refine_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
+    """Grid search, then lockstep golden-section refinement; returns (value, axis)."""
     angles, vecs = sphere_directions(cfg.sphere_grid)
     grid_vals = obj.sphere_batch(vecs)
     starts = np.argsort(-grid_vals, kind="stable")[: cfg.restarts]
-    best_val = -math.inf
-    best_angles = (0.0, 0.0)
-    for idx in starts:
-        theta, phi = float(angles[idx, 0]), float(angles[idx, 1])
-        val = float(grid_vals[idx])
-        dth = np.pi / cfg.sphere_grid
-        dph = 2.0 * np.pi / cfg.sphere_grid
-        for _ in range(cfg.refine_iters):
-            prev = val
-            t, vt = _golden_max(
-                lambda t: obj.at_direction(t, phi), max(0.0, theta - dth), min(np.pi, theta + dth)
-            )
-            if vt > val:
-                theta, val = t, vt
-            p, vp = _golden_max(lambda p: obj.at_direction(theta, p), phi - dph, phi + dph)
-            if vp > val:
-                phi, val = p % (2.0 * np.pi), vp
-            dth *= 0.5
-            dph *= 0.5
-            if val - prev < cfg.tol:
-                break
-        if val > best_val:
-            best_val = val
-            best_angles = (theta, phi)
-    axis = _angles_to_vec(*best_angles)
-    return MinResult(
-        value=best_val,
-        method=METHOD_SPHERE,
-        measurement=sphere_measurement(axis / np.linalg.norm(axis)),
-        axis=axis,
-        iterations=obj.evals,
-    )
+    theta, phi, val = angles[starts, 0], angles[starts, 1], grid_vals[starts]
+    dth, dph = np.pi / cfg.sphere_grid, 2.0 * np.pi / cfg.sphere_grid
+    live = np.arange(len(starts))
+    for _ in range(cfg.refine_iters):
+        if not live.size:
+            break
+        th, ph, prev = theta[live], phi[live], val[live]
+        lo, hi = np.maximum(0.0, th - dth), np.minimum(np.pi, th + dth)
+        t, vt = _golden_max(lambda t: obj.sphere_batch(_angles_to_vec(t, ph)), lo, hi)
+        th, cur = np.where(vt > prev, t, th), np.where(vt > prev, vt, prev)
+        p, vp = _golden_max(lambda p: obj.sphere_batch(_angles_to_vec(th, p)), ph - dph, ph + dph)
+        theta[live], phi[live] = th, np.where(vp > cur, p % (2.0 * np.pi), ph)
+        val[live] = np.where(vp > cur, vp, cur)
+        dth, dph = dth / 2, dph / 2
+        live = live[~(val[live] - prev < cfg.tol)]
+    best = int(np.argmax(val))
+    return float(val[best]), _angles_to_vec(theta[best], phi[best])
 
 
 def _hermitian_from_params(x: np.ndarray, m: int) -> np.ndarray:

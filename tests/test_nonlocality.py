@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkit.linalg import dagger, random_unitary, tensor_product
+from minkit.linalg import PAULIS, dagger, partial_trace, random_unitary, tensor_product
 from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
 from minkit.nonlocality import (
-    DimensionLimitError,
+    METHOD_BLOCK,
     METHOD_SPHERE,
     METHOD_UNIQUE,
+    DimensionLimitError,
     OptimizerConfig,
+    _Disturbance,
     bures_min_numeric,
     closed_form,
     direction_objective,
@@ -36,6 +38,7 @@ from minkit.states import (
     bloch_decompose,
     bloch_matrix,
     density_from_pure,
+    detect_family,
     make_bell_diagonal,
     make_isotropic,
     make_werner,
@@ -434,3 +437,208 @@ class TestDegeneracyThreshold:
             payload = json.loads(capsys.readouterr().out)
             assert payload["value"] == pytest.approx(value, abs=1e-4)
             assert payload["residual_vs_oracle"] <= 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Sphere branch: lockstep refinement and exact HS
+# ---------------------------------------------------------------------------
+
+
+def _old_sphere_optimizer(obj, cfg):
+    """The scalar grid-plus-golden-section search that the lockstep search
+    replaced, kept as a reference: every restart refines on its own, one
+    direction per call.  Returns the best value."""
+
+    def at(theta, phi):
+        vec = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        return float(obj.sphere_batch(np.array([vec]))[0])
+
+    def golden(f, a, b, iters=22):
+        invphi = (math.sqrt(5.0) - 1) / 2
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(iters):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        return (c, fc) if fc >= fd else (d, fd)
+
+    angles, vecs = sphere_directions(cfg.sphere_grid)
+    grid_vals = obj.sphere_batch(vecs)
+    best_val = -math.inf
+    for idx in np.argsort(-grid_vals, kind="stable")[: cfg.restarts]:
+        theta, phi = float(angles[idx, 0]), float(angles[idx, 1])
+        val = float(grid_vals[idx])
+        dth, dph = np.pi / cfg.sphere_grid, 2.0 * np.pi / cfg.sphere_grid
+        for _ in range(cfg.refine_iters):
+            prev = val
+            t, vt = golden(lambda t: at(t, phi), max(0.0, theta - dth), min(np.pi, theta + dth))
+            if vt > val:
+                theta, val = t, vt
+            p, vp = golden(lambda p: at(theta, p), phi - dph, phi + dph)
+            if vp > val:
+                phi, val = p % (2.0 * np.pi), vp
+            dth *= 0.5
+            dph *= 0.5
+            if val - prev < cfg.tol:
+                break
+        best_val = max(best_val, val)
+    return best_val
+
+
+def _filtered(dims, rank, rng):
+    """Random state locally filtered to rho_A = I/dA: (rho_A^-1/2 x I) rho (rho_A^-1/2 x I) / dA."""
+    rho = random_density(dims, rank, rng)
+    w, v = np.linalg.eigh(reduced_state(rho, "A"))
+    f = np.kron((v / np.sqrt(w)) @ dagger(v), np.eye(dims[1]))
+    return validate(f @ rho.mat @ dagger(f) / dims[0], dims)
+
+
+def _rotated_bell_diagonal(rng):
+    u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+    rho = make_bell_diagonal(random_bell_triple(rng))
+    return validate(u @ rho.mat @ dagger(u), (2, 2))
+
+
+def _sphere_states(seed):
+    rng = np.random.default_rng(seed)
+    return [
+        make_bell_diagonal(random_bell_triple(rng)),
+        _rotated_bell_diagonal(rng),
+        _filtered((2, 3), 3, rng),
+    ]
+
+
+def _hs_gram_value(rho):
+    """(tr G - lambda_min G) / 2 with G_ij = tr(Gamma_i Gamma_j), Gamma_i = tr_A[(sigma_i x I) rho]."""
+    dims = rho.dims
+    gam = [partial_trace(np.kron(s, np.eye(dims[1])) @ rho.mat, dims, "A") for s in PAULIS]
+    g = np.array([[np.trace(a @ b).real for b in gam] for a in gam])
+    return 0.5 * (np.trace(g) - np.linalg.eigvalsh(g)[0])
+
+
+_SPHERE_CONFIGS = [
+    OptimizerConfig(),
+    OptimizerConfig(restarts=7, sphere_grid=12),
+    OptimizerConfig(restarts=3, refine_iters=4, tol=1e-6),
+]
+
+
+class TestLockstepSphere:
+    """The lockstep refinement visits the same points as one search per restart."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    def test_matches_scalar_loop(self, seed, which):
+        numeric_min = {"trace": trace_min_numeric, "bures": bures_min_numeric}[which]
+        configs = _SPHERE_CONFIGS if seed == 0 else _SPHERE_CONFIGS[:1]
+        for rho in _sphere_states(seed):
+            for cfg in configs:
+                new = numeric_min(rho, cfg)
+                ref = _Disturbance(rho, which)
+                old_value = _old_sphere_optimizer(ref, cfg)
+                assert new.method == METHOD_SPHERE
+                assert abs(new.value - old_value) <= 1e-12
+                assert new.value >= old_value - 1e-12
+                assert new.iterations == ref.evals
+
+
+class TestExactHsSphere:
+    """HS MIN on the qubit sphere is (tr G - lambda_min G) / 2, reached at one direction."""
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(2011)
+        for n in (2, 3, 4):
+            for rank in (1, 2, 2 * n):
+                yield _filtered((2, n), rank, rng)
+        for _ in range(4):
+            yield _rotated_bell_diagonal(rng)
+
+    def test_value_axis_and_old_optimizer(self):
+        for rho in self._states():
+            res = hs_min_numeric(rho)
+            assert res.method == METHOD_SPHERE
+            assert res.iterations == 1
+            assert abs(res.value - _hs_gram_value(rho)) <= 1e-12
+            post = apply_projectors(rho.mat, sphere_measurement(res.axis), rho.db)
+            assert abs(float((np.abs(rho.mat - post) ** 2).sum()) - res.value) <= 1e-12
+            old_value = _old_sphere_optimizer(_Disturbance(rho, "hs"), OptimizerConfig())
+            assert res.value >= old_value - 1e-12
+
+    def test_ignores_sphere_settings(self):
+        rho = _rotated_bell_diagonal(np.random.default_rng(5))
+        base = hs_min_numeric(rho)
+        other = hs_min_numeric(rho, OptimizerConfig(sphere_grid=8, refine_iters=0, restarts=9))
+        assert other.value == base.value
+        np.testing.assert_array_equal(other.axis, base.axis)
+
+
+class TestFamilyTolerance:
+    """The family flips only across the 1e-9 tolerance of detect_family, and
+    the closed form it selects agrees with the numeric oracle on either side."""
+
+    _TOLS = {METHOD_SPHERE: 1e-4, METHOD_UNIQUE: 1e-8, METHOD_BLOCK: 1e-3}
+
+    @staticmethod
+    def _agree(rho):
+        for measure, numeric_min in (("n1", trace_min_numeric), ("n2", hs_min_numeric)):
+            closed = closed_form(rho, measure)
+            if closed is None:
+                continue
+            numeric = numeric_min(rho)
+            assert abs(closed - numeric.value) <= TestFamilyTolerance._TOLS[numeric.method]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        weights=st.lists(st.floats(1.0, 2.0), min_size=4, max_size=4),
+        part=st.sampled_from(["x", "y", "t"]),
+        direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        factor=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)),
+    )
+    def test_bell_diagonal(self, weights, part, direction, factor):
+        c = np.array(weights) / sum(weights) @ _BELL_TRIPLES
+        size = factor * 1e-9
+        u = size * np.array(direction) / np.linalg.norm(direction)
+        x, y, t = np.zeros(3), np.zeros(3), np.diag(c)
+        if part == "x":
+            x = u
+        elif part == "y":
+            y = u
+        else:
+            t[0, 1] = size
+        rho = validate(bloch_matrix(x, y, t), (2, 2))
+        family, _ = detect_family(rho)
+        assert (family == "bell_diagonal") == (factor < 1.0)
+        self._agree(rho)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["werner", "isotropic"]),
+        d=st.sampled_from([3, 4]),
+        param=st.floats(0.2, 0.9),
+        phase=st.floats(0.0, 2.0 * np.pi),
+        factor=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)),
+    )
+    def test_werner_and_isotropic(self, kind, d, param, phase, factor):
+        rho = make_werner(d, param) if kind == "werner" else make_isotropic(d, param)
+        # |00><01| lies outside the supports of I, SWAP and the maximally
+        # entangled projector, so it moves the family residual by exactly
+        # its modulus and leaves the fitted parameters alone
+        mat = rho.mat.copy()
+        mat[0, 1] += factor * 1e-9 * np.exp(1j * phase)
+        mat[1, 0] = np.conj(mat[0, 1])
+        rho = validate(mat, (d, d))
+        family, _ = detect_family(rho)
+        assert family == (kind if factor < 1.0 else "generic")
+        if factor < 1.0:
+            self._agree(rho)
+        else:
+            assert closed_form(rho, "n1") is None
