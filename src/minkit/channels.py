@@ -18,9 +18,8 @@ from .nonlocality import (
     METHOD_BLOCK,
     MinResult,
     OptimizerConfig,
-    hs_min_two_qubit,
+    _bell_diagonal_value,
     trace_min_numeric,
-    trace_min_two_qubit,
 )
 from .states import (
     DensityMatrix,
@@ -169,9 +168,7 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
             raise RuntimeError(
                 f"analytic evolution disagrees with Kraus evolution by {gap:.3e} at gamma_t={gt}"
             )
-        n1 = trace_min_two_qubit(analytic).value
-        n2 = hs_min_two_qubit(analytic).value
-        return c_t, n1, n2
+        return c_t, _bell_diagonal_value(c_t, True), _bell_diagonal_value(c_t, False)
 
     rows = [step(gt) for gt in times]
     return DynamicsTrace(

@@ -56,8 +56,8 @@ from .states import (
 _NUMERIC = {"n1": trace_min_numeric, "n2": hs_min_numeric, "nb": bures_min_numeric}
 
 
-def _num(v: float) -> str:
-    return f"{v:.12g}"
+# CSV text of a float: 12 significant digits.
+_FLOAT_CELL = "%.12g"
 
 
 class _InputError(ValueError):
@@ -96,13 +96,22 @@ def _write_manifest(out_path: str, command: str, config: dict, seed: int, digest
     _write_json(out_path + ".manifest.json", manifest)
 
 
+def _column_text(col: tuple) -> list[str]:
+    """CSV text of one column: floats as ``_FLOAT_CELL``, anything else
+    through ``str``.  In an all-float column each distinct value (by bit
+    pattern, so -0.0 stays apart from 0.0) is formatted once."""
+    if set(map(type, col)) == {float}:
+        bits, where = np.unique(np.array(col).view(np.int64), return_inverse=True)
+        text = np.array([_FLOAT_CELL % v for v in bits.view(np.float64).tolist()], dtype=object)
+        return text[where.ravel()].tolist()
+    return [_FLOAT_CELL % v if isinstance(v, float) else str(v) for v in col]
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``rows`` (all of one length) under ``header``, column by column."""
+    cols = [_column_text(col) for col in zip(*rows, strict=True)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(_num(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-            )
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -207,7 +216,7 @@ def surface_rows(level: float, resolution: int) -> list[tuple[float, float, floa
     )
     keep = bell_diagonal_weights(faces).min(axis=-1) >= -1e-12
     face_ids = np.broadcast_to(np.arange(6)[:, None], keep.shape)
-    return [(*c, face) for c, face in zip(faces[keep].tolist(), face_ids[keep].tolist())]
+    return list(zip(*faces[keep].T.tolist(), face_ids[keep].tolist()))
 
 
 def _cmd_surface(args) -> int:

@@ -28,8 +28,8 @@ PAULIS = np.array(
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose; a stack (..., n, m) is transposed matrix by matrix."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

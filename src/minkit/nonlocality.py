@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, hermitian_eig, psd_sqrt
+from .linalg import PAULIS, _local_action, dagger, hermitian_eig, psd_sqrt, random_unitary
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
@@ -43,6 +43,10 @@ from .states import (
 
 # Practical bound on dA * dB for the numeric optimizers.
 DIM_LIMIT = 64
+
+# Eigenvalues of rho at most this fraction of the largest lie outside the
+# support on which the Bures fidelity is computed.
+_SUPPORT_TOL = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1) / 2
 
@@ -66,6 +70,13 @@ class OptimizerConfig:
     is exposed rather than hidden.  ``sphere_grid``, ``refine_iters`` and
     ``restarts`` do not apply to HS MIN when dA = 2, whose maximum over the
     Bloch sphere is taken in closed form.
+
+    On the block branch (dA >= 3 with a degenerate marginal) ``sphere_grid``
+    and ``refine_iters`` do not apply.  HS MIN takes Jacobi sweeps from the
+    identity until a sweep gains at most ``tol``.  Trace and Bures MIN
+    ascend from the identity, the HS optimum and 2 * ``restarts`` Haar
+    block unitaries drawn from ``seed``; a start stops once its predicted
+    gain is at most ``tol``.
     """
 
     sphere_grid: int = 64
@@ -245,6 +256,13 @@ def closed_form(rho: DensityMatrix, measure: str, degeneracy_tol: float = 1e-8) 
     return _closed_value(rho, measure == "n1", *detect_family(rho), degeneracy_tol)
 
 
+def _bell_diagonal_value(c, trace: bool) -> float:
+    """Trace MIN (largest |c_i|) or HS MIN (sum of the two largest c_i^2, over 4)
+    of the Bell-diagonal state with correlation triple ``c``."""
+    a = np.sort(np.abs(c))[::-1]
+    return float(a[0]) if trace else float(a[0] ** 2 + a[1] ** 2) / 4.0
+
+
 def _closed_value(
     rho: DensityMatrix, trace: bool, family: str, params: dict, degeneracy_tol: float
 ) -> float | None:
@@ -258,8 +276,7 @@ def _closed_value(
             return max_entangled_trace_min(m) if trace else (m - 1) / m
         return None
     if family == "bell_diagonal":
-        a = np.sort(np.abs(params["c"]))[::-1]
-        return float(a[0]) if trace else float(a[0] ** 2 + a[1] ** 2) / 4.0
+        return _bell_diagonal_value(params["c"], trace)
     if family == "werner":
         return (trace_min_werner if trace else hs_min_werner)(params["d"], params["x"])
     if family == "isotropic":
@@ -329,6 +346,10 @@ class _Disturbance:
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
     (2(1 - sqrt(fidelity))).  Every evaluation goes through ``of_posts``,
     which takes a stack of post-measurement matrices and counts them.
+    When rho is rank-deficient the fidelity is taken on its support, from
+    the eigenvalues of factor^dag post factor with rho = factor factor^dag:
+    the square roots of round-off eigenvalues outside the support would
+    leave about 1e-8 of noise in the value.
     """
 
     def __init__(self, rho: DensityMatrix, which: str):
@@ -336,7 +357,14 @@ class _Disturbance:
         self.dims = rho.dims
         self.which = which
         self.evals = 0
-        self._sqrt = psd_sqrt(rho.mat) if which == "bures" else None
+        self._sqrt = self.factor = None
+        if which == "bures":
+            # rho = factor factor^dag on its support
+            w, v = np.linalg.eigh(rho.mat)
+            keep = w > _SUPPORT_TOL * w[-1]
+            self.factor = v[:, keep] * np.sqrt(w[keep])
+            if keep.all():
+                self._sqrt = psd_sqrt(rho.mat)
 
     def of_posts(self, posts: np.ndarray) -> np.ndarray:
         """Disturbance of each post-measurement matrix in a stack (N, n, n)."""
@@ -345,8 +373,11 @@ class _Disturbance:
             return np.abs(np.linalg.eigvalsh(self.mat - posts)).sum(axis=-1)
         if self.which == "hs":
             return (np.abs(self.mat - posts) ** 2).sum(axis=(-2, -1))
-        inner = self._sqrt @ posts @ self._sqrt
-        w = np.linalg.eigvalsh((inner + np.conj(np.swapaxes(inner, -1, -2))) / 2)
+        if self._sqrt is not None:
+            inner = self._sqrt @ posts @ self._sqrt
+        else:
+            inner = dagger(self.factor) @ posts @ self.factor
+        w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
         fid = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
         return 2.0 * (1.0 - np.sqrt(fid))
 
@@ -393,8 +424,8 @@ def _optimize_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> MinResult:
     less than ``cfg.tol``.
     """
     if obj.which == "hs":
-        gam = np.einsum("ica,abcd->ibd", PAULIS, obj.mat.reshape(2, obj.dims[1], 2, -1))
-        axis = hermitian_eig(np.einsum("ibd,jdb->ij", gam, gam).real).eigenvectors[:, -1].real
+        gram = _pauli_gram(obj.mat.reshape(2, obj.dims[1], 2, -1))
+        axis = hermitian_eig(gram).eigenvectors[:, -1].real
         value = float(obj.sphere_batch(axis[None])[0])
     else:
         value, axis = _refine_sphere(obj, cfg)
@@ -426,65 +457,193 @@ def _refine_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> tuple[float, np.n
     return float(val[best]), _angles_to_vec(theta[best], phi[best])
 
 
-def _hermitian_from_params(x: np.ndarray, m: int) -> np.ndarray:
-    h = np.zeros((m, m), dtype=complex)
-    h[np.diag_indices(m)] = x[:m]
-    k = m
-    for i in range(m):
-        for j in range(i + 1, m):
-            h[i, j] = x[k] + 1j * x[k + 1]
-            h[j, i] = x[k] - 1j * x[k + 1]
-            k += 2
-    return h
+# Smoothing widths of the block ascent, one stage each; the cap on its
+# steps per stage; the cap on Jacobi sweeps.
+_SMOOTHING = (1e-3, 1e-6, 1e-9)
+_ASCENT_STEPS = 500
+_JACOBI_SWEEPS = 100
 
 
-def _unitary_from_hermitian(h: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ dagger(v)
+def _pauli_gram(pair: np.ndarray) -> np.ndarray:
+    """G_mn = Re tr(Gamma_m Gamma_n), Gamma_m = tr_A[(sigma_m x I) pair], for
+    a qubit-by-B operator (..., 2, dB, 2, dB)."""
+    gam = np.einsum("ica,...abcd->...ibd", PAULIS, pair)
+    return np.einsum("...ibd,...jdb->...ij", gam, gam).real
+
+
+def _pair_rotation(n: np.ndarray) -> np.ndarray:
+    """Unitary whose columns are the +1 and -1 eigenvectors of n.sigma, for a
+    unit vector n with n_z >= 0; n = +z gives the identity."""
+    c = math.sqrt((1.0 + n[2]) / 2)
+    s = complex(n[0], n[1]) / (2 * c)
+    return np.array([[c, -s.conjugate()], [s, c]])
+
+
+def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of inverse-Hessian estimates (k, p, p) by steps ``s`` and
+    gradient changes ``y``; a pair without positive curvature is skipped."""
+    sy = (s * y).sum(-1)
+    curved = sy > 1e-16 * np.linalg.norm(s, axis=-1) * np.linalg.norm(y, axis=-1)
+    r = (np.where(curved, 1.0 / np.where(curved, sy, 1.0), 0.0))[:, None, None]
+    hy = (inv @ y[..., None])[..., 0]
+    ss = s[:, :, None] * s[:, None, :]
+    cross = hy[:, :, None] * s[:, None, :]
+    return inv + r * (1.0 + r * (y * hy).sum(-1)[:, None, None]) * ss - r * (
+        cross + np.swapaxes(cross, -1, -2)
+    )
+
+
+class _BlockSearch:
+    """The block branch in the eigenbasis frame of rho_A.
+
+    A point is a unitary U (dA x dA) acting inside the degenerate blocks; it
+    stands for the measurement on the columns of ``fam.basis @ U``.  With
+    rho~ = (U^dag x I) rho (U x I) in that frame, the post-measurement state
+    is D(rho~), the diagonal A blocks of rho~.  Every method takes a stack
+    (k, dA, dA) of U's, and every evaluation is counted in ``obj.evals``.
+    """
+
+    def __init__(self, obj: _Disturbance, fam: MeasurementFamily):
+        self.obj = obj
+        da, db = obj.dims
+        self.da = da
+        lift = np.kron(fam.basis, np.eye(db))
+        self.rho = dagger(lift) @ obj.mat @ lift
+        self.factor = dagger(lift) @ obj.factor if obj.which == "bures" else None
+        within = np.zeros((da, da), dtype=bool)
+        for off, size in fam.blocks:
+            within[off : off + size, off : off + size] = True
+        # tangent coordinates: real and imaginary parts of H_ij, i < j in a block
+        self.rows, self.cols = np.nonzero(np.triu(within, 1))
+        self.diag = np.eye(da)[:, None, :, None]
+
+    def frames(self, us: np.ndarray) -> np.ndarray:
+        """rho~ for each U, shaped (k, dA, dB, dA, dB)."""
+        self.obj.evals += len(us)
+        out = _local_action(self.rho, dagger(us)[:, None], self.obj.dims, "A")
+        return out.reshape((len(us),) + self.obj.dims * 2)
+
+    def jacobi(self, tol: float) -> np.ndarray:
+        """HS optimum by Jacobi sweeps from the identity.
+
+        Within span{i, j} the new projectors are (I +- n.sigma)/2, and the
+        summed squared diagonal blocks are a constant plus n.G.n / 2 with
+        G = ``_pauli_gram`` of that pair, so the exact step is the least
+        eigenvector of G.  A step whose gain is round-off is not taken, and
+        the sweeps stop once one gains at most ``tol``.
+        """
+        u = np.eye(self.da, dtype=complex)[None]
+        pairs = [list(pair) for pair in zip(self.rows, self.cols)]
+        for _ in range(_JACOBI_SWEEPS):
+            gain = 0.0
+            for pair in pairs:
+                g = _pauli_gram(self.frames(u)[0][pair][:, :, pair])
+                w, v = np.linalg.eigh(g)
+                step = (g[2, 2] - w[0]) / 2
+                if step > 1e-14 * np.trace(g):
+                    n = v[:, 0] if v[2, 0] >= 0.0 else -v[:, 0]
+                    u[0][:, pair] = u[0][:, pair] @ _pair_rotation(n)
+                    gain += step
+            if gain <= tol:
+                break
+        return u[0]
+
+    def smoothed(self, us: np.ndarray, mu: float):
+        """Smoothed value, true value and ascent gradient (k, p) of each U.
+
+        Trace: sum sqrt(l^2 + mu^2) over the eigenvalues l of rho~ - D(rho~);
+        the derivative along U exp(tH) is tr(H tr_B[S_off, rho~]) with
+        S = X (X^2 + mu^2)^(-1/2) and S_off its off-diagonal A blocks.
+        Bures: 2(1 - sum sqrt(c + mu^2)) over the eigenvalues c of
+        C = W~^dag D(rho~) W~, where rho = W W^dag on the support and
+        W~ = (U^dag x I) W; with Z = W~ (C + mu^2)^(-1/2) W~^dag the
+        derivative is -tr(H tr_B[D(rho~), Z] + H tr_B[D(Z), rho~]).
+        """
+        rt = self.frames(us)
+        k, n = len(us), self.rho.shape[0]
+        if self.obj.which == "trace":
+            w, v = np.linalg.eigh((rt * (1.0 - self.diag)).reshape(k, n, n))
+            root = np.sqrt(w * w + mu * mu)
+            s = ((v * (w / root)[:, None, :]) @ dagger(v)).reshape(rt.shape) * (1.0 - self.diag)
+            m = np.einsum("nabcd,ncdeb->nae", s, rt)
+            value, true = root.sum(-1), np.abs(w).sum(-1)
+        else:
+            wt = (dagger(us) @ self.factor.reshape(self.da, -1)).reshape(k, n, -1)
+            c, q = np.linalg.eigh(dagger(wt) @ (rt * self.diag).reshape(k, n, n) @ wt)
+            root = np.sqrt(c + mu * mu)
+            p = (wt @ q) / np.sqrt(root)[:, None, :]
+            z = (p @ dagger(p)).reshape(rt.shape)
+            m = -np.einsum("nabad,nadeb->nae", rt, z) - np.einsum("nabad,nadeb->nae", z, rt)
+            value = 2.0 - 2.0 * root.sum(-1)
+            true = 2.0 - 2.0 * np.sqrt(np.clip(c, 0.0, None)).sum(-1)
+        h = dagger(m)[:, self.rows, self.cols] - m[:, self.rows, self.cols]
+        return value, true, math.sqrt(2.0) * np.concatenate([h.real, h.imag], axis=-1)
+
+    def rotations(self, x: np.ndarray) -> np.ndarray:
+        """exp(H) for the anti-Hermitian H with tangent coordinates x (k, p)."""
+        half = x.shape[1] // 2
+        v = (x[:, :half] + 1j * x[:, half:]) / math.sqrt(2.0)
+        h = np.zeros((len(x), self.da, self.da), dtype=complex)
+        h[:, self.rows, self.cols], h[:, self.cols, self.rows] = v, -v.conj()
+        w, q = np.linalg.eigh(1j * h)
+        return (q * np.exp(-1j * w)[:, None, :]) @ dagger(q)
+
+    def ascend(self, us: np.ndarray, tol: float) -> np.ndarray:
+        """Best U after a quasi-Newton ascent from every start, in lockstep.
+
+        One stage per smoothing width in ``_SMOOTHING``.  Each step tries
+        U exp(t H) with H = (BFGS inverse Hessian) x gradient: an Armijo
+        success takes it and resets t to 1, a failure halves t.  A start
+        stops once its predicted gain g.H falls to ``tol`` or t to 1e-10,
+        and a start with zero gradient stops at once.
+        """
+        k, p = len(us), 2 * len(self.rows)
+        inv = np.tile(np.eye(p), (k, 1, 1))
+        for mu in _SMOOTHING:
+            val, true, grad = self.smoothed(us, mu)
+            d = (inv @ grad[..., None])[..., 0]
+            slope, t = (grad * d).sum(-1), np.ones(k)
+            live = np.flatnonzero((grad**2).sum(-1) > tol * tol)
+            for _ in range(_ASCENT_STEPS):
+                if not live.size:
+                    break
+                step = t[live, None] * d[live]
+                trial = us[live] @ self.rotations(step)
+                tv, tt, tg = self.smoothed(trial, mu)
+                ok = tv >= val[live] + 1e-4 * t[live] * slope[live]
+                up = live[ok]
+                inv[up] = _bfgs_update(inv[up], step[ok], grad[up] - tg[ok])
+                us[up], val[up], true[up], grad[up] = trial[ok], tv[ok], tt[ok], tg[ok]
+                d[up] = (inv[up] @ grad[up][..., None])[..., 0]
+                slope[up], t[up] = (grad[up] * d[up]).sum(-1), 1.0
+                t[live[~ok]] /= 2
+                live = live[~np.where(ok, slope[live] <= tol, t[live] < 1e-10)]
+        # the first start within tol of the best, so that ties go to U = I
+        return us[np.argmax(true >= true.max() - tol)]
 
 
 def _optimize_blocks(obj: _Disturbance, fam: MeasurementFamily, cfg: OptimizerConfig) -> MinResult:
-    free_sizes = [size for _, size in fam.blocks if size >= 2]
-    nparams = sum(s * s for s in free_sizes)
-    rng = np.random.default_rng(cfg.seed)
+    """Maximize over the block unitaries (dA >= 3, degenerate rho_A).
 
-    def measurement_at(x: np.ndarray) -> LocalMeasurement:
-        us = []
-        k = 0
-        for s in free_sizes:
-            us.append(_unitary_from_hermitian(_hermitian_from_params(x[k : k + s * s], s)))
-            k += s * s
-        return fam.refined(us)
-
-    def f(x: np.ndarray) -> float:
-        return obj.at_measurement(measurement_at(x))
-
-    best_x = np.zeros(nparams)
-    best_val = f(best_x)
-    for restart in range(cfg.restarts):
-        x = np.zeros(nparams) if restart == 0 else rng.normal(scale=np.pi / 2, size=nparams)
-        val = f(x)
-        step = 0.5
-        for _ in range(cfg.refine_iters * 5):
-            improved = False
-            for _ in range(8):
-                cand = x + rng.normal(scale=step, size=nparams)
-                cv = f(cand)
-                if cv > val + 1e-12:
-                    x, val = cand, cv
-                    improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-6:
-                    break
-        if val > best_val:
-            best_x, best_val = x, val
-    return MinResult(
-        value=best_val,
-        method=METHOD_BLOCK,
-        measurement=measurement_at(best_x),
-        iterations=obj.evals,
-    )
+    HS is the Jacobi optimum from the identity.  Trace and Bures ascend
+    from the identity, the HS optimum and 2 ``cfg.restarts`` Haar block
+    unitaries drawn from ``cfg.seed``.  The value is evaluated once more at
+    the returned measurement.
+    """
+    search = _BlockSearch(obj, fam)
+    u = search.jacobi(cfg.tol)
+    if obj.which != "hs":
+        rng = np.random.default_rng(cfg.seed)
+        starts = np.tile(np.eye(obj.dims[0], dtype=complex), (2 * cfg.restarts + 2, 1, 1))
+        starts[1] = u
+        for start in starts[2:]:
+            for off, size in fam.blocks:
+                if size >= 2:
+                    start[off : off + size, off : off + size] = random_unitary(size, rng)
+        u = search.ascend(starts, cfg.tol)
+    measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
+    value = obj.at_measurement(measurement)
+    return MinResult(value, METHOD_BLOCK, measurement, iterations=obj.evals)
 
 
 def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult:

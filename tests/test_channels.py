@@ -20,7 +20,12 @@ from minkit.channels import (
     random_channel,
 )
 from minkit.linalg import dagger, tensor_product
-from minkit.nonlocality import hs_min_numeric, trace_min_numeric
+from minkit.nonlocality import (
+    hs_min_numeric,
+    hs_min_two_qubit,
+    trace_min_numeric,
+    trace_min_two_qubit,
+)
 from minkit.states import (
     StateInvariantError,
     bloch_decompose,
@@ -187,6 +192,16 @@ class TestDynamicsSweep:
     def test_rejects_unphysical_start(self):
         with pytest.raises(ValueError, match="physical"):
             dynamics_sweep([1.0, 1.0, 1.0], 3, "one", np.array([0.0]))
+
+    @pytest.mark.parametrize("sided", ["one", "two"])
+    def test_values_match_the_two_qubit_closed_forms(self, sided):
+        times = np.linspace(0.0, 5.0, 41)
+        for c0, axis in (([0.2, 0.3, 0.45], 3), ([0.1, -0.35, 0.2], 2), ([-0.5, 0.1, 0.3], 1)):
+            trace = dynamics_sweep(c0, axis, sided, times)
+            for c, n1, n2 in zip(trace.c_t, trace.n1_t, trace.n2_t):
+                rho = make_bell_diagonal(c)
+                assert abs(n1 - trace_min_two_qubit(rho).value) <= 1e-15
+                assert abs(n2 - hs_min_two_qubit(rho).value) <= 1e-15
 
 
 class TestFreezingRegion:

@@ -328,6 +328,35 @@ class TestAudit:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCsv:
+    """Every cell reads as ``f"{v:.12g}"`` for a float and ``str(v)`` otherwise."""
+
+    @staticmethod
+    def _per_cell(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in r) for r in rows]
+        return "\n".join(lines) + "\n"
+
+    def test_cells_match_per_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(7)
+        edge = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e300, 0.1]
+        floats = edge + rng.standard_normal(40).tolist() + [0.1, -0.0, 0.0]
+        mixed = [1, 2.5, True, "x", np.float64(-0.0), None]
+        rows = [
+            (floats[i], -floats[-1 - i], np.float64(floats[i]), i, mixed[i % len(mixed)])
+            for i in range(len(floats))
+        ]
+        path = tmp_path / "t.csv"
+        minkit.cli._write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
+        assert path.read_text() == self._per_cell(["a", "b", "c", "d", "e"], rows)
+        minkit.cli._write_csv(str(path), ["a"], [])
+        assert path.read_text() == "a\n"
+
+    def test_rows_of_unequal_length_are_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            minkit.cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [(1.0, 2.0), (3.0,)])
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(minkit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

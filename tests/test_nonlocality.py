@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkit.linalg import PAULIS, dagger, partial_trace, random_unitary, tensor_product
+from minkit.channels import _numeric_slack, apply_channel_b, random_channel
+from minkit.linalg import PAULIS, dagger, partial_trace, psd_sqrt, random_unitary, tensor_product
 from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
 from minkit.nonlocality import (
     METHOD_BLOCK,
@@ -16,7 +17,9 @@ from minkit.nonlocality import (
     METHOD_UNIQUE,
     DimensionLimitError,
     OptimizerConfig,
+    _BlockSearch,
     _Disturbance,
+    _pair_rotation,
     bures_min_numeric,
     closed_form,
     direction_objective,
@@ -642,3 +645,252 @@ class TestFamilyTolerance:
             self._agree(rho)
         else:
             assert closed_form(rho, "n1") is None
+
+
+# ---------------------------------------------------------------------------
+# Block branch: Jacobi sweeps for HS, quasi-Newton ascent for trace and Bures
+# ---------------------------------------------------------------------------
+
+
+def _old_block_optimizer(obj, fam, cfg):
+    """The random-restart hill-climb over exp(iH) block unitaries that the
+    Jacobi sweeps and the ascent replaced, kept as a reference: one
+    measurement per evaluation.  Returns the best value."""
+
+    def unitary(x, m):
+        h = np.zeros((m, m), dtype=complex)
+        h[np.diag_indices(m)] = x[:m]
+        k = m
+        for i in range(m):
+            for j in range(i + 1, m):
+                h[i, j] = x[k] + 1j * x[k + 1]
+                h[j, i] = x[k] - 1j * x[k + 1]
+                k += 2
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(1j * w)) @ dagger(v)
+
+    sizes = [size for _, size in fam.blocks if size >= 2]
+    nparams = sum(s * s for s in sizes)
+    rng = np.random.default_rng(cfg.seed)
+
+    def f(x):
+        us, k = [], 0
+        for s in sizes:
+            us.append(unitary(x[k : k + s * s], s))
+            k += s * s
+        return obj.at_measurement(fam.refined(us))
+
+    best = f(np.zeros(nparams))
+    for restart in range(cfg.restarts):
+        x = np.zeros(nparams) if restart == 0 else rng.normal(scale=np.pi / 2, size=nparams)
+        val, step = f(x), 0.5
+        for _ in range(cfg.refine_iters * 5):
+            improved = False
+            for _ in range(8):
+                cand = x + rng.normal(scale=step, size=nparams)
+                cv = f(cand)
+                if cv > val + 1e-12:
+                    x, val, improved = cand, cv, True
+            if not improved:
+                step *= 0.5
+                if step < 1e-6:
+                    break
+        best = max(best, val)
+    return best
+
+
+def _reference_states():
+    """The generic block-branch states of bench/reference.py: rank-3 Ginibre
+    states from seed 2014, filtered to rho_A = I/dA."""
+    rng = np.random.default_rng(2014)
+    out = []
+    for dims in ((3, 2), (3, 3), (4, 2)):
+        n = dims[0] * dims[1]
+        g = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        m = g @ dagger(g)
+        m /= np.trace(m).real
+        w, v = np.linalg.eigh(np.einsum("abcb->ac", m.reshape(dims * 2)))
+        big = np.kron((v / np.sqrt(w)) @ dagger(v), np.eye(dims[1]))
+        m = big @ m @ big / dims[0]
+        m = (m + dagger(m)) / 2
+        out.append(validate(m / np.trace(m).real, dims))
+    return out
+
+
+# Maxima stored in bench/reference.json for the states above: the best of
+# 48 scipy BFGS / Nelder-Mead starts (``python3 bench/reference.py``).
+# Copied here because the tests do not depend on scipy.
+_REFERENCE_MAXIMA = (
+    {"trace": 0.9710470510405333, "hs": 0.20728279988288473},
+    {"trace": 1.162271214895295, "hs": 0.20710906578062882},
+    {"trace": 1.266167978581065, "hs": 0.2620644110749131},
+)
+
+
+def _split_state(dims, weights, rank, rng):
+    """Random state of the given rank whose marginal rho_A has eigenvalues
+    ``weights`` in a Haar-random basis, so repeated weights make blocks."""
+    rho = random_density(dims, rank, rng)
+    w, v = np.linalg.eigh(reduced_state(rho, "A"))
+    f = random_unitary(dims[0], rng) @ np.diag(np.sqrt(weights)) @ (v / np.sqrt(w)) @ dagger(v)
+    big = np.kron(f, np.eye(dims[1]))
+    return validate(big @ rho.mat @ dagger(big), dims)
+
+
+def _direct_value(rho, measurement, which):
+    """Trace or squared HS norm of rho minus its post-measurement state."""
+    diff = rho.mat - apply_projectors(rho.mat, measurement, rho.db)
+    if which == "trace":
+        return float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return float((np.abs(diff) ** 2).sum())
+
+
+_NUMERIC_MIN = {"trace": trace_min_numeric, "hs": hs_min_numeric, "bures": bures_min_numeric}
+
+
+class TestBlockBranch:
+    @pytest.mark.parametrize("which", ["trace", "hs"])
+    def test_reference_states(self, which):
+        for rho, stored in zip(_reference_states(), _REFERENCE_MAXIMA):
+            values = []
+            for seed in range(4):
+                res = _NUMERIC_MIN[which](rho, OptimizerConfig(seed=seed))
+                assert res.method == METHOD_BLOCK
+                assert abs(_direct_value(rho, res.measurement, which) - res.value) <= 1e-12
+                values.append(res.value)
+            assert min(values) >= stored[which] - 1e-9
+            assert np.ptp(values) <= (1e-6 if which == "trace" else 1e-9)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_werner_and_isotropic_closed_forms(self, d):
+        cases = [(make_werner(d, x), trace_min_werner(d, x), hs_min_werner(d, x))
+                 for x in (-1.0, -0.4, 0.3, 1.0 / d, 1.0)]
+        cases += [(make_isotropic(d, x), trace_min_isotropic(d, x), hs_min_isotropic(d, x))
+                  for x in (0.0, 0.2, 1.0 / d**2, 0.6, 1.0)]
+        for rho, trace, hs in cases:
+            assert abs(trace_min_numeric(rho).value - trace) <= 1e-12
+            assert abs(hs_min_numeric(rho).value - hs) <= 1e-12
+
+    def test_flat_objective_stops_at_once_in_the_eigenbasis(self):
+        # every measurement gives the same Werner value: no Jacobi step is
+        # taken, each ascent start has zero gradient (one evaluation per
+        # start and stage, after one sweep over the three pairs and before
+        # the final re-evaluation), and ties between starts go to U = I
+        cfg = OptimizerConfig()
+        rho = make_werner(3, 0.3)
+        basis = invariant_family(reduced_state(rho, "A")).basis
+        for numeric_min, evals in ((trace_min_numeric, 3 + 3 * (2 * cfg.restarts + 2) + 1),
+                                   (hs_min_numeric, 3 + 1)):
+            res = numeric_min(rho, cfg)
+            assert res.iterations == evals
+            for p, k in zip(res.measurement.projectors, basis.T):
+                np.testing.assert_array_equal(p, np.outer(k, k.conj()))
+
+    @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
+    def test_multi_block_marginals_beat_old_hill_climb(self, which):
+        rng = np.random.default_rng(1996)
+        cases = (((3, 2), (0.4, 0.4, 0.2), 6, ((0, 2), (2, 1))),
+                 ((4, 2), (0.3, 0.3, 0.2, 0.2), 3, ((0, 2), (2, 2))))
+        for dims, weights, rank, blocks in cases:
+            rho = _split_state(dims, weights, rank, rng)
+            fam = invariant_family(reduced_state(rho, "A"))
+            assert fam.blocks == blocks
+            res = _NUMERIC_MIN[which](rho)
+            assert res.method == METHOD_BLOCK
+            old = _old_block_optimizer(_Disturbance(rho, which), fam, OptimizerConfig())
+            assert res.value >= old - 1e-12
+
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    def test_gradient_matches_central_differences(self, which):
+        rng = np.random.default_rng(2008)
+        states = [_reference_states()[0], _split_state((4, 2), (0.3, 0.3, 0.2, 0.2), 3, rng),
+                  _split_state((3, 3), (0.4, 0.4, 0.2), 9, rng)]
+        eps = 1e-5
+        for rho in states:
+            fam = invariant_family(reduced_state(rho, "A"))
+            search = _BlockSearch(_Disturbance(rho, which), fam)
+            p = 2 * len(search.rows)
+            for mu in (1e-3, 1e-6):
+                u = search.rotations(rng.standard_normal((1, p)))
+                _, _, grad = search.smoothed(u, mu)
+                for x in rng.standard_normal((3, 1, p)):
+                    up = search.smoothed(u @ search.rotations(eps * x), mu)[0]
+                    down = search.smoothed(u @ search.rotations(-eps * x), mu)[0]
+                    slope = float((grad * x).sum())
+                    assert abs((up - down)[0] / (2 * eps) - slope) <= 1e-7
+
+    @pytest.mark.parametrize("weights", [(1 / 3, 1 / 3, 1 / 3), (0.4, 0.4, 0.2)])
+    def test_monotone_under_channels_on_b(self, weights):
+        # channels on B leave rho_A alone, so both sides take the block branch
+        rng = np.random.default_rng(17)
+        for db, rank in ((2, 3), (3, 4), (2, 6)):
+            rho = _split_state((3, db), weights, rank, rng)
+            before = trace_min_numeric(rho)
+            assert before.method == METHOD_BLOCK
+            for kraus in (1, 2, 3):
+                after = trace_min_numeric(apply_channel_b(rho, random_channel(db, kraus, rng)))
+                assert after.method == METHOD_BLOCK
+                assert after.value - before.value <= 1e-8 + _numeric_slack(before, after)
+
+    def test_pair_step_is_the_identity_on_a_no_op(self):
+        np.testing.assert_array_equal(_pair_rotation(np.array([0.0, 0.0, 1.0])), np.eye(2))
+
+    def test_pair_step_projects_on_the_direction(self):
+        rng = np.random.default_rng(1161)
+        for n in rng.standard_normal((20, 3)):
+            n[2] = abs(n[2])
+            n /= np.linalg.norm(n)
+            r = _pair_rotation(n)
+            np.testing.assert_allclose(r @ dagger(r), np.eye(2), atol=1e-15)
+            expected = (np.eye(2) + np.einsum("i,imn->mn", n, PAULIS)) / 2
+            np.testing.assert_allclose(np.outer(r[:, 0], r[:, 0].conj()), expected, atol=1e-15)
+
+
+def _support_fidelity(rho, post):
+    """Bures value 2(1 - tr|sqrt(post) sqrt(rho)|) with both roots from
+    eigendecompositions clipped to exact zeros below 1e-12."""
+
+    def root(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(np.where(w > 1e-12 * w[-1], w, 0.0))) @ dagger(v)
+
+    return 2.0 * (1.0 - np.linalg.svd(root(post) @ root(rho.mat), compute_uv=False).sum())
+
+
+class TestBuresSupport:
+    """The fidelity is computed on the support of rho, and the full-rank
+    arithmetic is the one used before."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(1998)
+        two_qubit = random_density((2, 2), 3, rng)
+        fam = invariant_family(reduced_state(two_qubit, "A"))
+        filtered = _filtered((2, 3), 3, rng)
+        e = rng.standard_normal(3)
+        e /= np.linalg.norm(e)
+        yield two_qubit, apply_projectors(two_qubit.mat, fam.fixed, 2)
+        yield filtered, apply_projectors(filtered.mat, sphere_measurement(e), 3)
+
+    def test_rank_deficient_value_is_stable(self):
+        rng = np.random.default_rng(1999)
+        for rho, post in self._cases():
+            assert np.linalg.matrix_rank(rho.mat, tol=1e-10) == 3
+            obj = _Disturbance(rho, "bures")
+            h = rng.standard_normal(post.shape) + 1j * rng.standard_normal(post.shape)
+            h = (h + dagger(h)) / 2
+            nudged = post + 1e-15 * h / np.abs(h).max()
+            value, moved = obj.of_posts(np.stack([post, nudged]))
+            assert abs(moved - value) <= 1e-12
+            assert abs(value - _support_fidelity(rho, post)) <= 1e-12
+
+    def test_full_rank_arithmetic_unchanged(self):
+        rng = np.random.default_rng(2000)
+        for rho in (random_density((2, 2), 4, rng), _filtered((2, 3), 6, rng),
+                    make_bell_diagonal([0.45, 0.3, 0.2])):
+            post = apply_projectors(rho.mat, sphere_measurement(np.array([0.6, 0.0, 0.8])), rho.db)
+            s = psd_sqrt(rho.mat)
+            inner = s @ post @ s
+            w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
+            fid = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum() ** 2, 0.0, 1.0)
+            assert _Disturbance(rho, "bures").of_posts(post[None])[0] == 2.0 * (1.0 - np.sqrt(fid))
