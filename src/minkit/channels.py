@@ -15,7 +15,6 @@ import numpy as np
 from .linalg import PAULIS, _local_action, dagger, hs_norm, tensor_product
 from .nonlocality import (
     METHOD_SPHERE,
-    METHOD_BLOCK,
     MinResult,
     OptimizerConfig,
     _bell_diagonal_value,
@@ -259,8 +258,10 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
 
 
 def _numeric_slack(*results: MinResult) -> float:
-    """Extra tolerance when a grid/hill-climb branch was involved."""
-    if any(r.method in (METHOD_SPHERE, METHOD_BLOCK) for r in results):
+    """Extra tolerance when a sphere result was involved: its golden-section
+    search can end up to ~1.2e-5 below the Bures maximum.  Block results
+    repeat to round-off and get none."""
+    if any(r.method == METHOD_SPHERE for r in results):
         return 2e-4
     return 0.0
 

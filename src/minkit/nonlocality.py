@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -340,12 +341,28 @@ def _angles_to_vec(theta, phi) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
+def _null_vectors(e: np.ndarray) -> np.ndarray:
+    """f1 + i f2 (N, 3) for orthonormal frames (e, f1, f2) of unit vectors e
+    (N, 3), built without branches (Duff et al., JCGT 6(1), 2017): with
+    s = sign(e_z), a = -1 / (s + e_z) and w = s e_x + i e_y it is
+    (1 + a e_x w, i s + a e_y w, -w)."""
+    s = np.copysign(1.0, e[:, 2])
+    w = s * e[:, 0] + 1j * e[:, 1]
+    u = e * (w / -(s + e[:, 2]))[:, None]
+    u[:, 0] += 1.0
+    u[:, 1] += 1j * s
+    u[:, 2] = -w
+    return u
+
+
 class _Disturbance:
     """Evaluates one disturbance measure for a fixed state.
 
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
-    (2(1 - sqrt(fidelity))).  Every evaluation goes through ``of_posts``,
-    which takes a stack of post-measurement matrices and counts them.
+    (2(1 - sqrt(fidelity))).  ``of_posts`` takes a stack of post-measurement
+    matrices; ``sphere_batch`` takes qubit directions e and builds none:
+    trace and HS come from the dB x dB matrix B(e), Bures from (G^2 + K(e)^2) / 2
+    on the support of rho.  Both count their evaluations in ``evals``.
     When rho is rank-deficient the fidelity is taken on its support, from
     the eigenvalues of factor^dag post factor with rho = factor factor^dag:
     the square roots of round-off eigenvalues outside the support would
@@ -384,18 +401,50 @@ class _Disturbance:
     def at_measurement(self, m: LocalMeasurement) -> float:
         return float(self.of_posts(apply_projectors(self.mat, m, self.dims[1])[None])[0])
 
-    def sphere_batch(self, vecs: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Values for a batch of qubit measurement directions (dA = 2).
+    @cached_property
+    def _sphere_ops(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Set-up of ``sphere_batch``: Gamma_i = tr_A[(sigma_i x I) rho],
+        stacked (3, dB, dB), for trace and HS; for Bures K_i / sqrt(2),
+        stacked (3, r, r), with K_i = W^dag (sigma_i x I) W, and G^2 / 2."""
+        if self.which != "bures":
+            return _pauli_blocks(self.mat.reshape(2, self.dims[1], 2, -1)), None
+        w = self.factor.reshape(2, self.dims[1], -1)
+        k = np.einsum("asx,iac,csy->ixy", w.conj(), PAULIS, w) / math.sqrt(2.0)
+        gram = dagger(self.factor) @ self.factor
+        return k, gram @ gram / 2
 
-        The two projectors (I +- E)/2 with E = e.sigma give the
-        post-measurement matrix (rho + E rho E) / 2.
+    def sphere_batch(self, vecs: np.ndarray, chunk: int = 1024) -> np.ndarray:
+        """Values for a batch of unit qubit measurement directions (dA = 2).
+
+        Measuring along e leaves rho - post = [[0, B^dag], [B, 0]] / 2 in the
+        eigenbasis of e.sigma, with B(e) = sum_i (f1 + i f2)_i Gamma_i for any
+        orthonormal f1, f2 perpendicular to e: trace = ||B||_1, HS = ||B||_F^2 / 2.
+        Bures: W^dag post W = (G^2 + K(e)^2) / 2 with K(e) = sum_i e_i K_i.
         """
+        self.evals += len(vecs)
         out = np.empty(len(vecs))
         for lo in range(0, len(vecs), chunk):
-            es = (vecs[lo : lo + chunk] @ PAULIS.reshape(3, 4)).reshape(-1, 1, 2, 2)
-            posts = (self.mat + _local_action(self.mat, es, self.dims, "A")) / 2
-            out[lo : lo + len(es)] = self.of_posts(posts)
+            out[lo : lo + chunk] = self._sphere_chunk(vecs[lo : lo + chunk])
         return out
+
+    def _sphere_chunk(self, e: np.ndarray) -> np.ndarray:
+        # einsum, not @: BLAS rounds a one-row product differently from a
+        # batch, and the lockstep search compares batches of every size
+        ops, gram2 = self._sphere_ops
+        m = ops.shape[-1]
+        if self.which == "bures":
+            k = np.einsum("ni,ijk->njk", e, ops)
+            root_fid = np.sqrt(np.maximum(np.linalg.eigvalsh(gram2 + k @ k), 0.0)).sum(axis=-1)
+            return 2.0 * (1.0 - np.minimum(root_fid, 1.0))
+        b = np.einsum("ni,ijk->njk", _null_vectors(e), ops)
+        if m != 2 and self.which == "trace":
+            # not sqrt(eigvalsh(B B^dag)), which loses singular values below ~1e-8
+            return np.linalg.svd(b, compute_uv=False).sum(axis=-1)
+        fro2 = (b.real**2 + b.imag**2).sum(axis=(-2, -1))
+        if self.which == "hs":
+            return fro2 / 2
+        # ||B||_1^2 = (s1 + s2)^2 = ||B||_F^2 + 2 |det B| for a 2 x 2 matrix
+        return np.sqrt(fro2 + 2.0 * np.abs(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]))
 
 
 def _golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 22) -> tuple[np.ndarray, np.ndarray]:
@@ -421,16 +470,26 @@ def _optimize_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> MinResult:
     refine the best grid points by golden-section search with the restarts
     in lockstep: each golden step is one ``sphere_batch`` call over the
     restarts still live, and a restart stops on its own once a round gains
-    less than ``cfg.tol``.
+    less than ``cfg.tol``.  The axis is returned by ``_canonical_axis``.
     """
     if obj.which == "hs":
-        gram = _pauli_gram(obj.mat.reshape(2, obj.dims[1], 2, -1))
+        gram = _pauli_gram(obj._sphere_ops[0])
         axis = hermitian_eig(gram).eigenvectors[:, -1].real
         value = float(obj.sphere_batch(axis[None])[0])
     else:
         value, axis = _refine_sphere(obj, cfg)
+    axis = _canonical_axis(axis)
     measurement = sphere_measurement(axis / np.linalg.norm(axis))
     return MinResult(value, METHOD_SPHERE, measurement, axis=axis, iterations=obj.evals)
+
+
+def _canonical_axis(axis: np.ndarray) -> np.ndarray:
+    """The one of +-axis (the same measurement) whose first nonzero
+    coordinate in the order (z, y, x) is positive."""
+    leading = axis[::-1][axis[::-1] != 0.0]
+    if leading.size and leading[0] < 0.0:
+        return 0.0 - axis  # not -axis, which would turn zeros into -0.0
+    return axis
 
 
 def _refine_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
@@ -464,10 +523,14 @@ _ASCENT_STEPS = 500
 _JACOBI_SWEEPS = 100
 
 
-def _pauli_gram(pair: np.ndarray) -> np.ndarray:
-    """G_mn = Re tr(Gamma_m Gamma_n), Gamma_m = tr_A[(sigma_m x I) pair], for
-    a qubit-by-B operator (..., 2, dB, 2, dB)."""
-    gam = np.einsum("ica,...abcd->...ibd", PAULIS, pair)
+def _pauli_blocks(pair: np.ndarray) -> np.ndarray:
+    """Gamma_m = tr_A[(sigma_m x I) pair], stacked (..., 3, dB, dB), for a
+    qubit-by-B operator (..., 2, dB, 2, dB)."""
+    return np.einsum("ica,...abcd->...ibd", PAULIS, pair)
+
+
+def _pauli_gram(gam: np.ndarray) -> np.ndarray:
+    """G_mn = Re tr(Gamma_m Gamma_n) for a stack ``_pauli_blocks`` (..., 3, dB, dB)."""
     return np.einsum("...ibd,...jdb->...ij", gam, gam).real
 
 
@@ -537,7 +600,7 @@ class _BlockSearch:
         for _ in range(_JACOBI_SWEEPS):
             gain = 0.0
             for pair in pairs:
-                g = _pauli_gram(self.frames(u)[0][pair][:, :, pair])
+                g = _pauli_gram(_pauli_blocks(self.frames(u)[0][pair][:, :, pair]))
                 w, v = np.linalg.eigh(g)
                 step = (g[2, 2] - w[0]) / 2
                 if step > 1e-14 * np.trace(g):

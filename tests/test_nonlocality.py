@@ -18,6 +18,7 @@ from minkit.nonlocality import (
     DimensionLimitError,
     OptimizerConfig,
     _BlockSearch,
+    _canonical_axis,
     _Disturbance,
     _pair_rotation,
     bures_min_numeric,
@@ -517,11 +518,21 @@ def _sphere_states(seed):
     ]
 
 
-def _hs_gram_value(rho):
-    """(tr G - lambda_min G) / 2 with G_ij = tr(Gamma_i Gamma_j), Gamma_i = tr_A[(sigma_i x I) rho]."""
+def _gammas(rho):
+    """Gamma_i = tr_A[(sigma_i x I) rho] for i = x, y, z."""
     dims = rho.dims
-    gam = [partial_trace(np.kron(s, np.eye(dims[1])) @ rho.mat, dims, "A") for s in PAULIS]
-    g = np.array([[np.trace(a @ b).real for b in gam] for a in gam])
+    return [partial_trace(np.kron(s, np.eye(dims[1])) @ rho.mat, dims, "A") for s in PAULIS]
+
+
+def _gram(rho):
+    """G_ij = tr(Gamma_i Gamma_j)."""
+    gam = _gammas(rho)
+    return np.array([[np.trace(a @ b).real for b in gam] for a in gam])
+
+
+def _hs_gram_value(rho):
+    """(tr G - lambda_min G) / 2 for the G of ``_gram``."""
+    g = _gram(rho)
     return 0.5 * (np.trace(g) - np.linalg.eigvalsh(g)[0])
 
 
@@ -580,6 +591,122 @@ class TestExactHsSphere:
         other = hs_min_numeric(rho, OptimizerConfig(sphere_grid=8, refine_iters=0, restarts=9))
         assert other.value == base.value
         np.testing.assert_array_equal(other.axis, base.axis)
+
+
+def _kernel_directions(rng):
+    """Both poles, the south pole with x = -0.0, an equator point with
+    z = -0.0 (the frame's sign switch), the equator and random directions."""
+    equator = [[np.cos(p), np.sin(p), 0.0] for p in np.linspace(0.0, 2.0 * np.pi, 7)]
+    rand = rng.standard_normal((8, 3))
+    rand /= np.linalg.norm(rand, axis=1)[:, None]
+    fixed = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, 0.0, -1.0], [0.0, 1.0, -0.0]]
+    return np.vstack([fixed, equator, rand])
+
+
+def _direct_sphere_values(obj, rho, vecs):
+    return np.array([obj.of_posts(apply_projectors(rho.mat, sphere_measurement(e), rho.db)[None])[0]
+                     for e in vecs])
+
+
+class TestSphereKernel:
+    """``sphere_batch`` (B(e) for trace and HS, (G^2 + K(e)^2) / 2 for Bures)
+    against the post-measurement matrix built and measured in full."""
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(2017)
+        for n in (2, 3, 4):
+            for rank in (1, 2, 2 * n):
+                yield _filtered((2, n), rank, rng)
+
+    @staticmethod
+    def _zero_singular_state():
+        """A 2x3 state with rho_A = I/2 whose B(e) has rank 2 for every e:
+        a filtered 2x2 state embedded in B and mixed with noise, then turned
+        by a Haar unitary on B so that the zero is not an exact zero."""
+        rng = np.random.default_rng(2018)
+        small = _filtered((2, 2), 3, rng).mat.reshape(2, 2, 2, 2)
+        mat = np.zeros((2, 3, 2, 3), dtype=complex)
+        mat[:, :2, :, :2] = small
+        mat = 0.7 * mat.reshape(6, 6) + 0.3 * np.eye(6) / 6
+        u = np.kron(np.eye(2), random_unitary(3, rng))
+        return validate(u @ mat @ dagger(u), (2, 3))
+
+    @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
+    def test_matches_the_full_post_measurement_matrix(self, which):
+        rng = np.random.default_rng(7)
+        for rho in self._states():
+            vecs = _kernel_directions(rng)
+            obj = _Disturbance(rho, which)
+            got = obj.sphere_batch(vecs)
+            assert obj.evals == len(vecs)
+            np.testing.assert_allclose(got, _direct_sphere_values(obj, rho, vecs), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(obj.sphere_batch(-vecs), got, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(obj.sphere_batch(vecs, chunk=3), got)
+
+    def test_hs_is_the_gram_quadratic_form(self):
+        rng = np.random.default_rng(8)
+        for rho in self._states():
+            vecs = _kernel_directions(rng)
+            g = _gram(rho)
+            expected = (np.trace(g) - np.einsum("ni,ij,nj->n", vecs, g, vecs)) / 2
+            got = _Disturbance(rho, "hs").sphere_batch(vecs)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
+    def test_zero_singular_value(self, which):
+        rho = self._zero_singular_state()
+        vecs = _kernel_directions(np.random.default_rng(9))
+        gx, gy, _ = _gammas(rho)
+        assert np.linalg.svd(gx + 1j * gy, compute_uv=False)[-1] <= 1e-15  # B(e) at e = z
+        obj = _Disturbance(rho, which)
+        got = obj.sphere_batch(vecs)
+        np.testing.assert_allclose(got, _direct_sphere_values(obj, rho, vecs), rtol=0, atol=1e-12)
+
+    def test_one_dimensional_b(self):
+        # dB = 1 leaves rho = I/2 as the only state with a mixed qubit marginal
+        rho = validate(np.eye(2, dtype=complex) / 2, (2, 1))
+        for which in ("trace", "hs", "bures"):
+            got = _Disturbance(rho, which).sphere_batch(_kernel_directions(np.random.default_rng(13)))
+            np.testing.assert_allclose(got, 0.0, rtol=0, atol=1e-15)
+
+    def test_one_batch_equals_one_direction_at_a_time(self):
+        # the lockstep search compares values from batches of different sizes
+        for rho in _sphere_states(3):
+            vecs = _kernel_directions(np.random.default_rng(10))
+            for which in ("trace", "hs", "bures"):
+                obj = _Disturbance(rho, which)
+                single = np.concatenate([obj.sphere_batch(v[None]) for v in vecs])
+                np.testing.assert_array_equal(obj.sphere_batch(vecs), single)
+
+    def test_builds_no_post_measurement_matrix(self, monkeypatch):
+        import minkit.nonlocality as nl
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sphere_batch built a post-measurement matrix")
+
+        states = list(self._states())
+        monkeypatch.setattr(nl, "_local_action", forbidden)
+        for rho in states:
+            for which in ("trace", "hs", "bures"):
+                _Disturbance(rho, which).sphere_batch(_kernel_directions(np.random.default_rng(11)))
+
+    def test_axis_in_the_canonical_hemisphere(self):
+        rng = np.random.default_rng(12)
+        states = [*_sphere_states(4), make_bell_diagonal([0.45, 0.3, 0.2]), _filtered((2, 4), 2, rng)]
+        for rho in states:
+            for numeric_min in (trace_min_numeric, hs_min_numeric, bures_min_numeric):
+                axis = numeric_min(rho).axis
+                leading = axis[::-1][axis[::-1] != 0.0]
+                assert leading[0] > 0.0
+                assert not np.signbit(axis[axis == 0.0]).any()
+
+    def test_canonical_axis(self):
+        for axis, expected in (([0.3, -0.5, 0.0], [-0.3, 0.5, 0.0]), ([0.0, 0.0, -1.0], [0.0, 0.0, 1.0]),
+                               ([-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), ([-0.6, 0.0, 0.8], [-0.6, 0.0, 0.8])):
+            got = _canonical_axis(np.array(axis))
+            np.testing.assert_array_equal(got, expected)
+            assert not np.signbit(got[got == 0.0]).any()
 
 
 class TestFamilyTolerance:
