@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -37,7 +36,7 @@ from .measurements import (
 from .states import (
     DensityMatrix,
     SchmidtForm,
-    canonicalize,
+    bloch_decompose,
     detect_family,
     reduced_state,
 )
@@ -149,58 +148,41 @@ def max_entangled_trace_min(m: int) -> float:
 def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> MinResult:
     """Trace MIN of an arbitrary two-qubit state, in closed form.
 
-    The state is first rotated to diagonal correlation tensor.  With a
-    nondegenerate marginal (|x| above ``degenerate_tol``) the unique
-    invariant measurement gives an explicit value; at x = 0 the maximum
-    over the measurement sphere is the largest tensor entry in magnitude.
+    With local vector x and correlation tensor T, the disturbance of the
+    measurement along the unit vector e is 1/4 sum_ij [(I - e e^T) T]_ij
+    sigma_i x sigma_j, whose trace norm is the largest singular value of
+    (I - e e^T) T.  With a nondegenerate marginal (|x| above
+    ``degenerate_tol``) the measurement is fixed, e = x/|x|; at x = 0 the
+    maximum over the sphere is the largest singular value of T.  Local
+    rotations keep singular values, so no canonical frame is needed.
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    _, form = canonicalize(rho)
-    c, x = form.c, form.x
-    xn = float(np.linalg.norm(x))
-    if xn <= degenerate_tol:
-        value = float(np.abs(c).max())
-    else:
-        value = _chi_branch_value(c, x)
-    return MinResult(value=value, method=METHOD_CLOSED)
-
-
-def _chi_branch_value(c: np.ndarray, x: np.ndarray) -> float:
-    """Nondegenerate-branch value ``(sqrt(chi+) + sqrt(chi-)) / (2|x|)``.
-
-    The smaller root ``chi-`` suffers catastrophic cancellation whenever the
-    lesser singular-value pair of the disturbance nearly vanishes (every
-    pure state hits this), so the discriminant ``chi+ chi-`` is evaluated
-    in exact rational arithmetic and ``chi-`` recovered by division.
-    """
-    q = [Fraction(float(v)) ** 2 for v in c]
-    u = [Fraction(float(v)) ** 2 for v in x]
-    xsq = u[0] + u[1] + u[2]
-    alpha = q[0] * (u[1] + u[2]) + q[1] * (u[2] + u[0]) + q[2] * (u[0] + u[1])
-    beta = u[0] * q[1] * q[2] + u[1] * q[2] * q[0] + u[2] * q[0] * q[1]
-    disc = alpha * alpha - 4 * xsq * beta
-    chi_p = float(alpha) + 2.0 * math.sqrt(max(float(xsq * beta), 0.0))
-    if chi_p <= 0.0:
-        return 0.0
-    chi_m = max(float(disc), 0.0) / chi_p
-    return (math.sqrt(chi_p) + math.sqrt(chi_m)) / (2.0 * math.sqrt(float(xsq)))
+    return MinResult(value=_two_qubit_value(rho, True, degenerate_tol), method=METHOD_CLOSED)
 
 
 def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> MinResult:
-    """HS MIN of an arbitrary two-qubit state, in closed form."""
+    """HS MIN of an arbitrary two-qubit state, in closed form.
+
+    The squared Hilbert-Schmidt norm of the disturbance along e is
+    1/4 ||(I - e e^T) T||_F^2, with e = x/|x| for a nondegenerate marginal;
+    at x = 0 the maximum over the sphere is a quarter of the sum of the two
+    largest squared singular values of T.
+    """
+    return MinResult(value=_two_qubit_value(rho, False, degenerate_tol), method=METHOD_CLOSED)
+
+
+def _two_qubit_value(rho: DensityMatrix, trace: bool, degenerate_tol: float) -> float:
+    """Trace (``trace``) or HS closed form of a two-qubit state."""
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    _, form = canonicalize(rho)
-    c, x = form.c, form.x
-    xn = float(np.linalg.norm(x))
+    form = bloch_decompose(rho)
+    xn = float(np.linalg.norm(form.x))
     if xn <= degenerate_tol:
-        a = np.sort(np.abs(c))[::-1]
-        value = float(a[0] ** 2 + a[1] ** 2) / 4.0
-    else:
-        xh = x / xn
-        value = float((c**2).sum() - ((c * xh) ** 2).sum()) / 4.0
-    return MinResult(value=value, method=METHOD_CLOSED)
+        return _bell_diagonal_value(np.linalg.svd(form.t, compute_uv=False), trace)
+    xh = form.x / xn
+    pt = form.t - np.outer(xh, xh @ form.t)
+    if trace:
+        return float(np.linalg.svd(pt, compute_uv=False)[0])
+    return float((pt**2).sum()) / 4.0
 
 
 def trace_min_werner(d: int, x: float) -> float:
@@ -287,33 +269,24 @@ def _closed_value(
     return None
 
 
-def direction_objective(e_hat: np.ndarray, c: np.ndarray) -> float:
+def direction_objective(e_hat: np.ndarray, c: np.ndarray) -> float | np.ndarray:
     """Closed-form sphere objective for states with diagonal tensor and x = 0.
 
     For the Bell-diagonal state with correlation triple ``c`` measured
     along the unit direction ``e_hat``, the returned value equals twice the
-    squared trace-norm disturbance; its sphere maximum is twice the squared
-    largest |c_i|.  The triple is sorted internally by magnitude and the
-    direction is permuted into the sorted frame.
+    squared trace-norm disturbance, 2 s_max((I - e e^T) diag(c))^2; its
+    sphere maximum is twice the squared largest |c_i|.  ``e_hat`` may be
+    one direction (a float is returned) or a stack (N, 3) (an (N,) array).
     """
     e = np.asarray(e_hat, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-10:
-        raise ValueError(f"direction must be a unit vector, |e| = {np.linalg.norm(e):.12g}")
-    c = np.asarray(c, dtype=float)
-    order = np.argsort(-np.abs(c), kind="stable")
-    cp2, c02, cm2 = (Fraction(float(v)) ** 2 for v in c[order])
-    e1s, e2s = (Fraction(float(v)) ** 2 for v in e[order][:2])
-    # sin^2(theta) and the phi factors enter only through e1^2, e2^2; the
-    # quartic under the root cancels near double singular values, so it is
-    # evaluated in exact rational arithmetic.
-    st2 = e1s + e2s
-    q = cp2 + c02 - st2 * (c02 - cm2) - e1s * (cp2 - c02)
-    h = (
-        e2s**2 * (cp2 - c02) ** 2
-        + 2 * (cp2 - c02) * e2s * ((cp2 + c02 - 2 * cm2) - st2 * (cp2 - cm2))
-        + (cp2 - c02 - st2 * (cp2 - cm2)) ** 2
-    )
-    return float(q) + math.sqrt(max(float(h), 0.0))
+    norms = np.linalg.norm(e, axis=-1)
+    # negated so that a NaN or infinite norm counts as bad
+    bad = ~(np.abs(norms - 1.0) <= 1e-10)
+    if bad.any():
+        raise ValueError(f"direction must be a unit vector, |e| = {norms[bad].flat[0]:.12g}")
+    p = np.eye(3) - e[..., :, None] * e[..., None, :]
+    s = np.linalg.svd(p * np.asarray(c, dtype=float), compute_uv=False)[..., 0]
+    return float(2.0 * s**2) if e.ndim == 1 else 2.0 * s**2
 
 
 # ---------------------------------------------------------------------------

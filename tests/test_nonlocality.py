@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from minkit.nonlocality import (
 from minkit.states import (
     bloch_decompose,
     bloch_matrix,
+    canonicalize,
     density_from_pure,
     detect_family,
     make_bell_diagonal,
@@ -187,6 +189,57 @@ class TestTwoQubitHs:
         assert abs(hs_min_two_qubit(wide).value - hs_min_two_qubit(narrow).value) > 1e-3
 
 
+def _old_two_qubit_closed_forms(rho, degenerate_tol=1e-8):
+    """The closed forms that the singular values of the projected tensor
+    replaced, kept as a reference: the state is rotated to a diagonal
+    tensor by ``canonicalize`` and the trace value of the nondegenerate
+    branch, (sqrt(chi+) + sqrt(chi-)) / (2|x|), takes the discriminant
+    chi+ chi- in exact rational arithmetic.  Returns (trace, HS)."""
+    _, form = canonicalize(rho)
+    c, x = form.c, form.x
+    xn = float(np.linalg.norm(x))
+    if xn <= degenerate_tol:
+        a = np.sort(np.abs(c))[::-1]
+        return float(a[0]), float(a[0] ** 2 + a[1] ** 2) / 4.0
+    hs = float((c**2).sum() - ((c * x / xn) ** 2).sum()) / 4.0
+    q = [Fraction(float(v)) ** 2 for v in c]
+    u = [Fraction(float(v)) ** 2 for v in x]
+    xsq = u[0] + u[1] + u[2]
+    alpha = q[0] * (u[1] + u[2]) + q[1] * (u[2] + u[0]) + q[2] * (u[0] + u[1])
+    beta = u[0] * q[1] * q[2] + u[1] * q[2] * q[0] + u[2] * q[0] * q[1]
+    disc = alpha * alpha - 4 * xsq * beta
+    chi_p = float(alpha) + 2.0 * math.sqrt(max(float(xsq * beta), 0.0))
+    if chi_p <= 0.0:
+        return 0.0, hs
+    chi_m = max(float(disc), 0.0) / chi_p
+    return (math.sqrt(chi_p) + math.sqrt(chi_m)) / (2.0 * math.sqrt(float(xsq))), hs
+
+
+class TestTwoQubitReference:
+    def test_matches_old_closed_forms(self):
+        rng = np.random.default_rng(35)
+        states = [random_density((2, 2), 1 + k % 4, rng) for k in range(200)]
+        states += [_rotated_bell_diagonal(rng) for _ in range(20)]
+        states += [_filtered((2, 2), 2 + k % 3, rng) for k in range(20)]
+        for rho in states:
+            trace, hs = _old_two_qubit_closed_forms(rho)
+            assert abs(trace_min_two_qubit(rho).value - trace) <= 2e-15
+            assert abs(hs_min_two_qubit(rho).value - hs) <= 2e-15
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-10, 1e-12, 0.0])
+    def test_near_product_pure_states(self, eps):
+        # the lesser singular value of the disturbance nearly vanishes here:
+        # the cancellation the exact-rational discriminant guarded against
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+            psi = pure_state(u @ _pure_two_level(1.0 - eps).amplitudes, (2, 2))
+            l1, l2 = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False) ** 2
+            rho = density_from_pure(psi)
+            assert abs(trace_min_two_qubit(rho).value - 2.0 * math.sqrt(l1 * l2)) <= 1e-15
+            assert abs(hs_min_two_qubit(rho).value - 2.0 * l1 * l2) <= 1e-15
+
+
 class TestWernerIsotropicClosedForms:
     def test_werner_values(self):
         assert trace_min_werner(2, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -249,6 +302,29 @@ class TestDirectionObjective:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             direction_objective([1.0, 1.0, 1.0], [0.3, 0.2, 0.1])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="unit"):
+                direction_objective([bad, 0.0, 0.0], [0.3, 0.2, 0.1])
+            with pytest.raises(ValueError, match="unit"):
+                direction_objective([0.0, 1.0, bad], [0.3, 0.2, 0.1])
+
+    def test_stack_matches_row_by_row(self):
+        rng = np.random.default_rng(37)
+        c = np.array([0.45, -0.3, 0.2])
+        e = rng.standard_normal((50, 3))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        stacked = direction_objective(e, c)
+        assert stacked.shape == (50,)
+        rows = [direction_objective(v, c) for v in e]
+        assert all(isinstance(v, float) for v in rows)
+        np.testing.assert_allclose(stacked, rows, rtol=0.0, atol=1e-15)
+
+    def test_stack_with_one_bad_row_raises(self):
+        e = np.array([[1.0, 0.0, 0.0], [0.0, math.nan, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError, match="unit"):
+            direction_objective(e, [0.3, 0.2, 0.1])
+        with pytest.raises(ValueError, match="unit"):
+            direction_objective(np.array([[1.0, 0.0, 0.0], [0.6, 0.6, 0.0]]), [0.3, 0.2, 0.1])
 
 
 class TestOptimizerConfig:
