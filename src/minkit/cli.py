@@ -123,7 +123,6 @@ def _write_json(path: str, payload: dict) -> None:
 def _optimizer_config(args) -> OptimizerConfig:
     try:
         return OptimizerConfig(
-            sphere_grid=args.grid,
             restarts=args.restarts,
             tol=args.tol,
             seed=args.seed,
@@ -135,8 +134,6 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 def _config_dict(cfg: OptimizerConfig) -> dict:
     return {
-        "sphere_grid": cfg.sphere_grid,
-        "refine_iters": cfg.refine_iters,
         "restarts": cfg.restarts,
         "tol": cfg.tol,
         "seed": cfg.seed,
@@ -427,9 +424,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_optimizer_flags(sub) -> None:
-    sub.add_argument("--grid", type=_positive_int, default=64, help="sphere grid resolution")
     sub.add_argument("--restarts", type=int, default=4, help="optimizer restarts")
-    sub.add_argument("--tol", type=float, default=1e-10, help="refinement tolerance")
+    sub.add_argument("--tol", type=float, default=1e-10, help="optimizer stopping tolerance")
     sub.add_argument("--seed", type=int, default=0, help="RNG seed")
     sub.add_argument(
         "--degeneracy-tol",

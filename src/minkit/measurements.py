@@ -89,11 +89,11 @@ class MeasurementFamily:
     """All rank-1 projective measurements leaving a reduced state invariant.
 
     kind "unique":           a single fixed measurement (``fixed``).
-    kind "qubit_sphere":     every direction on the Bloch sphere (dA = 2,
-                             fully degenerate marginal).
     kind "block_degenerate": the eigenbasis columns (``basis``) refined by
                              an arbitrary unitary inside each degenerate
                              block; ``blocks`` lists (offset, size).
+    kind "qubit_sphere":     the one-block case dA = 2, ``blocks`` ((0, 2),):
+                             every direction on the Bloch sphere.
     """
 
     kind: str
@@ -107,8 +107,8 @@ class MeasurementFamily:
         ``block_unitaries`` supplies a unitary for each block of size >= 2,
         in block order; size-1 blocks have no freedom.
         """
-        if self.kind != KIND_BLOCK:
-            raise ValueError("refined() applies to block_degenerate families only")
+        if self.kind == KIND_UNIQUE:
+            raise ValueError("refined() applies to degenerate families only")
         cols = self.basis.copy()
         it = iter(block_unitaries)
         for off, size in self.blocks:
@@ -142,8 +142,5 @@ def invariant_family(rho_a: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) 
             for k in range(len(w))
         )
         return MeasurementFamily(kind=KIND_UNIQUE, fixed=LocalMeasurement(projectors=projs))
-    if rho_a.shape[0] == 2:
-        return MeasurementFamily(kind=KIND_QUBIT_SPHERE)
-    return MeasurementFamily(
-        kind=KIND_BLOCK, basis=eig.eigenvectors, blocks=tuple(blocks)
-    )
+    kind = KIND_QUBIT_SPHERE if rho_a.shape[0] == 2 else KIND_BLOCK
+    return MeasurementFamily(kind=kind, basis=eig.eigenvectors, blocks=tuple(blocks))

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, hermitian_eig, psd_sqrt, random_unitary
+from .linalg import PAULIS, _local_action, dagger, psd_sqrt, random_unitary
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
@@ -31,7 +30,6 @@ from .measurements import (
     MeasurementFamily,
     apply_projectors,
     invariant_family,
-    sphere_measurement,
 )
 from .states import (
     DensityMatrix,
@@ -47,8 +45,6 @@ DIM_LIMIT = 64
 # Eigenvalues of rho at most this fraction of the largest lie outside the
 # support on which the Bures fidelity is computed.
 _SUPPORT_TOL = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1) / 2
 
 METHOD_CLOSED = "ClosedForm"
 METHOD_UNIQUE = "NumericUnique"
@@ -67,30 +63,22 @@ class OptimizerConfig:
     ``degeneracy_tol`` doubles as the eigenvalue-gap threshold for the
     invariant-measurement family and as the branch threshold of the
     two-qubit closed form; the measures are discontinuous across it, so it
-    is exposed rather than hidden.  ``sphere_grid``, ``refine_iters`` and
-    ``restarts`` do not apply to HS MIN when dA = 2, whose maximum over the
-    Bloch sphere is taken in closed form.
+    is exposed rather than hidden.
 
-    On the block branch (dA >= 3 with a degenerate marginal) ``sphere_grid``
-    and ``refine_iters`` do not apply.  HS MIN takes Jacobi sweeps from the
-    identity until a sweep gains at most ``tol``.  Trace and Bures MIN
-    ascend from the identity, the HS optimum and 2 * ``restarts`` Haar
-    block unitaries drawn from ``seed``; a start stops once its predicted
-    gain is at most ``tol``.
+    With a degenerate marginal (the qubit sphere is the one-block case
+    dA = 2) HS MIN takes Jacobi sweeps from the identity until a sweep
+    gains at most ``tol``; ``restarts`` and ``seed`` do not apply to it.
+    Trace and Bures MIN ascend from the identity, the HS optimum and
+    2 * ``restarts`` Haar block unitaries drawn from ``seed``; a start
+    stops once its predicted gain is at most ``tol``.
     """
 
-    sphere_grid: int = 64
-    refine_iters: int = 20
     restarts: int = 4
     tol: float = 1e-10
     seed: int = 0
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.sphere_grid < 8:
-            raise ValueError("sphere_grid must be >= 8")
-        if self.refine_iters < 0:
-            raise ValueError("refine_iters must be >= 0")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.tol <= 0:
@@ -239,11 +227,13 @@ def closed_form(rho: DensityMatrix, measure: str, degeneracy_tol: float = 1e-8) 
     return _closed_value(rho, measure == "n1", *detect_family(rho), degeneracy_tol)
 
 
-def _bell_diagonal_value(c, trace: bool) -> float:
+def _bell_diagonal_value(c, trace: bool) -> float | np.ndarray:
     """Trace MIN (largest |c_i|) or HS MIN (sum of the two largest c_i^2, over 4)
-    of the Bell-diagonal state with correlation triple ``c``."""
-    a = np.sort(np.abs(c))[::-1]
-    return float(a[0]) if trace else float(a[0] ** 2 + a[1] ** 2) / 4.0
+    of the Bell-diagonal state with correlation triple ``c``, or of each
+    triple in a stack (N, 3)."""
+    a = np.sort(np.abs(c), axis=-1)[..., ::-1]
+    value = a[..., 0] if trace else (a[..., 0] ** 2 + a[..., 1] ** 2) / 4.0
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _closed_value(
@@ -305,27 +295,8 @@ def sphere_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     thetas = np.linspace(0.0, np.pi, n + 1)
     phis = np.arange(n) * (2.0 * np.pi / n)
     tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    return np.column_stack([tt, pp]), _angles_to_vec(tt, pp)
-
-
-def _angles_to_vec(theta, phi) -> np.ndarray:
-    """Unit vectors (..., 3) at polar angles ``theta`` and azimuths ``phi``."""
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
-
-
-def _null_vectors(e: np.ndarray) -> np.ndarray:
-    """f1 + i f2 (N, 3) for orthonormal frames (e, f1, f2) of unit vectors e
-    (N, 3), built without branches (Duff et al., JCGT 6(1), 2017): with
-    s = sign(e_z), a = -1 / (s + e_z) and w = s e_x + i e_y it is
-    (1 + a e_x w, i s + a e_y w, -w)."""
-    s = np.copysign(1.0, e[:, 2])
-    w = s * e[:, 0] + 1j * e[:, 1]
-    u = e * (w / -(s + e[:, 2]))[:, None]
-    u[:, 0] += 1.0
-    u[:, 1] += 1j * s
-    u[:, 2] = -w
-    return u
+    vecs = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1)
+    return np.column_stack([tt, pp]), vecs
 
 
 class _Disturbance:
@@ -333,9 +304,7 @@ class _Disturbance:
 
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
     (2(1 - sqrt(fidelity))).  ``of_posts`` takes a stack of post-measurement
-    matrices; ``sphere_batch`` takes qubit directions e and builds none:
-    trace and HS come from the dB x dB matrix B(e), Bures from (G^2 + K(e)^2) / 2
-    on the support of rho.  Both count their evaluations in ``evals``.
+    matrices and counts its evaluations in ``evals``.
     When rho is rank-deficient the fidelity is taken on its support, from
     the eigenvalues of factor^dag post factor with rho = factor factor^dag:
     the square roots of round-off eigenvalues outside the support would
@@ -374,87 +343,6 @@ class _Disturbance:
     def at_measurement(self, m: LocalMeasurement) -> float:
         return float(self.of_posts(apply_projectors(self.mat, m, self.dims[1])[None])[0])
 
-    @cached_property
-    def _sphere_ops(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Set-up of ``sphere_batch``: Gamma_i = tr_A[(sigma_i x I) rho],
-        stacked (3, dB, dB), for trace and HS; for Bures K_i / sqrt(2),
-        stacked (3, r, r), with K_i = W^dag (sigma_i x I) W, and G^2 / 2."""
-        if self.which != "bures":
-            return _pauli_blocks(self.mat.reshape(2, self.dims[1], 2, -1)), None
-        w = self.factor.reshape(2, self.dims[1], -1)
-        k = np.einsum("asx,iac,csy->ixy", w.conj(), PAULIS, w) / math.sqrt(2.0)
-        gram = dagger(self.factor) @ self.factor
-        return k, gram @ gram / 2
-
-    def sphere_batch(self, vecs: np.ndarray, chunk: int = 1024) -> np.ndarray:
-        """Values for a batch of unit qubit measurement directions (dA = 2).
-
-        Measuring along e leaves rho - post = [[0, B^dag], [B, 0]] / 2 in the
-        eigenbasis of e.sigma, with B(e) = sum_i (f1 + i f2)_i Gamma_i for any
-        orthonormal f1, f2 perpendicular to e: trace = ||B||_1, HS = ||B||_F^2 / 2.
-        Bures: W^dag post W = (G^2 + K(e)^2) / 2 with K(e) = sum_i e_i K_i.
-        """
-        self.evals += len(vecs)
-        out = np.empty(len(vecs))
-        for lo in range(0, len(vecs), chunk):
-            out[lo : lo + chunk] = self._sphere_chunk(vecs[lo : lo + chunk])
-        return out
-
-    def _sphere_chunk(self, e: np.ndarray) -> np.ndarray:
-        # einsum, not @: BLAS rounds a one-row product differently from a
-        # batch, and the lockstep search compares batches of every size
-        ops, gram2 = self._sphere_ops
-        m = ops.shape[-1]
-        if self.which == "bures":
-            k = np.einsum("ni,ijk->njk", e, ops)
-            root_fid = np.sqrt(np.maximum(np.linalg.eigvalsh(gram2 + k @ k), 0.0)).sum(axis=-1)
-            return 2.0 * (1.0 - np.minimum(root_fid, 1.0))
-        b = np.einsum("ni,ijk->njk", _null_vectors(e), ops)
-        if m != 2 and self.which == "trace":
-            # not sqrt(eigvalsh(B B^dag)), which loses singular values below ~1e-8
-            return np.linalg.svd(b, compute_uv=False).sum(axis=-1)
-        fro2 = (b.real**2 + b.imag**2).sum(axis=(-2, -1))
-        if self.which == "hs":
-            return fro2 / 2
-        # ||B||_1^2 = (s1 + s2)^2 = ||B||_F^2 + 2 |det B| for a 2 x 2 matrix
-        return np.sqrt(fro2 + 2.0 * np.abs(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]))
-
-
-def _golden_max(f, a: np.ndarray, b: np.ndarray, iters: int = 22) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization on all brackets [a_k, b_k], one ``f`` call per step."""
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc >= fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = f(x)
-        c, d, fc, fd = (np.where(left, u, v) for u, v in ((x, d), (c, x), (fx, fd), (fc, fx)))
-    left = fc >= fd
-    return np.where(left, c, d), np.where(left, fc, fd)
-
-
-def _optimize_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> MinResult:
-    """Maximize over the Bloch sphere (dA = 2, rho_A = I/2).
-
-    HS is exact: along e its disturbance is (tr G - e.G.e) / 2, with
-    G_ij = tr(Gamma_i Gamma_j) and Gamma_i = tr_A[(sigma_i x I) rho], so the
-    eigenvector of the least eigenvalue of G is optimal.  Trace and Bures
-    refine the best grid points by golden-section search with the restarts
-    in lockstep: each golden step is one ``sphere_batch`` call over the
-    restarts still live, and a restart stops on its own once a round gains
-    less than ``cfg.tol``.  The axis is returned by ``_canonical_axis``.
-    """
-    if obj.which == "hs":
-        gram = _pauli_gram(obj._sphere_ops[0])
-        axis = hermitian_eig(gram).eigenvectors[:, -1].real
-        value = float(obj.sphere_batch(axis[None])[0])
-    else:
-        value, axis = _refine_sphere(obj, cfg)
-    axis = _canonical_axis(axis)
-    measurement = sphere_measurement(axis / np.linalg.norm(axis))
-    return MinResult(value, METHOD_SPHERE, measurement, axis=axis, iterations=obj.evals)
-
 
 def _canonical_axis(axis: np.ndarray) -> np.ndarray:
     """The one of +-axis (the same measurement) whose first nonzero
@@ -465,34 +353,12 @@ def _canonical_axis(axis: np.ndarray) -> np.ndarray:
     return axis
 
 
-def _refine_sphere(obj: _Disturbance, cfg: OptimizerConfig) -> tuple[float, np.ndarray]:
-    """Grid search, then lockstep golden-section refinement; returns (value, axis)."""
-    angles, vecs = sphere_directions(cfg.sphere_grid)
-    grid_vals = obj.sphere_batch(vecs)
-    starts = np.argsort(-grid_vals, kind="stable")[: cfg.restarts]
-    theta, phi, val = angles[starts, 0], angles[starts, 1], grid_vals[starts]
-    dth, dph = np.pi / cfg.sphere_grid, 2.0 * np.pi / cfg.sphere_grid
-    live = np.arange(len(starts))
-    for _ in range(cfg.refine_iters):
-        if not live.size:
-            break
-        th, ph, prev = theta[live], phi[live], val[live]
-        lo, hi = np.maximum(0.0, th - dth), np.minimum(np.pi, th + dth)
-        t, vt = _golden_max(lambda t: obj.sphere_batch(_angles_to_vec(t, ph)), lo, hi)
-        th, cur = np.where(vt > prev, t, th), np.where(vt > prev, vt, prev)
-        p, vp = _golden_max(lambda p: obj.sphere_batch(_angles_to_vec(th, p)), ph - dph, ph + dph)
-        theta[live], phi[live] = th, np.where(vp > cur, p % (2.0 * np.pi), ph)
-        val[live] = np.where(vp > cur, vp, cur)
-        dth, dph = dth / 2, dph / 2
-        live = live[~(val[live] - prev < cfg.tol)]
-    best = int(np.argmax(val))
-    return float(val[best]), _angles_to_vec(theta[best], phi[best])
-
-
-# Smoothing widths of the block ascent, one stage each; the cap on its
-# steps per stage; the cap on Jacobi sweeps.
+# Smoothing widths of the block ascent, one stage each; the cap on the
+# steps of the last stage, and of each stage before it, which only
+# warm-starts the next one; the cap on Jacobi sweeps.
 _SMOOTHING = (1e-3, 1e-6, 1e-9)
 _ASCENT_STEPS = 500
+_WARM_STEPS = 40
 _JACOBI_SWEEPS = 100
 
 
@@ -627,11 +493,14 @@ class _BlockSearch:
     def ascend(self, us: np.ndarray, tol: float) -> np.ndarray:
         """Best U after a quasi-Newton ascent from every start, in lockstep.
 
-        One stage per smoothing width in ``_SMOOTHING``.  Each step tries
+        One stage per smoothing width in ``_SMOOTHING``, of at most
+        ``_WARM_STEPS`` steps before the last and ``_ASCENT_STEPS`` in it.
+        Each step tries
         U exp(t H) with H = (BFGS inverse Hessian) x gradient: an Armijo
         success takes it and resets t to 1, a failure halves t.  A start
-        stops once its predicted gain g.H falls to ``tol`` or t to 1e-10,
-        and a start with zero gradient stops at once.
+        stops once its predicted gain g.H is at most ``tol``, whether or not
+        its last trial succeeded, or once t falls to 1e-10; a start with
+        zero gradient stops at once.
         """
         k, p = len(us), 2 * len(self.rows)
         inv = np.tile(np.eye(p), (k, 1, 1))
@@ -640,7 +509,7 @@ class _BlockSearch:
             d = (inv @ grad[..., None])[..., 0]
             slope, t = (grad * d).sum(-1), np.ones(k)
             live = np.flatnonzero((grad**2).sum(-1) > tol * tol)
-            for _ in range(_ASCENT_STEPS):
+            for _ in range(_ASCENT_STEPS if mu == _SMOOTHING[-1] else _WARM_STEPS):
                 if not live.size:
                     break
                 step = t[live, None] * d[live]
@@ -653,18 +522,19 @@ class _BlockSearch:
                 d[up] = (inv[up] @ grad[up][..., None])[..., 0]
                 slope[up], t[up] = (grad[up] * d[up]).sum(-1), 1.0
                 t[live[~ok]] /= 2
-                live = live[~np.where(ok, slope[live] <= tol, t[live] < 1e-10)]
+                live = live[~((slope[live] <= tol) | (t[live] < 1e-10))]
         # the first start within tol of the best, so that ties go to U = I
         return us[np.argmax(true >= true.max() - tol)]
 
 
 def _optimize_blocks(obj: _Disturbance, fam: MeasurementFamily, cfg: OptimizerConfig) -> MinResult:
-    """Maximize over the block unitaries (dA >= 3, degenerate rho_A).
+    """Maximize over the block unitaries of a degenerate rho_A.
 
     HS is the Jacobi optimum from the identity.  Trace and Bures ascend
     from the identity, the HS optimum and 2 ``cfg.restarts`` Haar block
     unitaries drawn from ``cfg.seed``.  The value is evaluated once more at
-    the returned measurement.
+    the returned measurement.  On the qubit sphere (dA = 2) the result also
+    carries the Bloch axis of the first projector, by ``_canonical_axis``.
     """
     search = _BlockSearch(obj, fam)
     u = search.jacobi(cfg.tol)
@@ -679,7 +549,12 @@ def _optimize_blocks(obj: _Disturbance, fam: MeasurementFamily, cfg: OptimizerCo
         u = search.ascend(starts, cfg.tol)
     measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
     value = obj.at_measurement(measurement)
-    return MinResult(value, METHOD_BLOCK, measurement, iterations=obj.evals)
+    if fam.kind != KIND_QUBIT_SPHERE:
+        return MinResult(value, METHOD_BLOCK, measurement, iterations=obj.evals)
+    p = measurement.projectors[0]
+    # + 0.0 turns the -0.0 of a negated zero into 0.0
+    axis = np.array([2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]) + 0.0
+    return MinResult(value, METHOD_SPHERE, measurement, _canonical_axis(axis), iterations=obj.evals)
 
 
 def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult:
@@ -689,14 +564,10 @@ def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult
         )
     fam = invariant_family(reduced_state(rho, "A"), cfg.degeneracy_tol)
     obj = _Disturbance(rho, which)
-    if fam.kind == KIND_UNIQUE:
-        value = obj.at_measurement(fam.fixed)
-        return MinResult(
-            value=value, method=METHOD_UNIQUE, measurement=fam.fixed, iterations=obj.evals
-        )
-    if fam.kind == KIND_QUBIT_SPHERE:
-        return _optimize_sphere(obj, cfg)
-    return _optimize_blocks(obj, fam, cfg)
+    if fam.kind != KIND_UNIQUE:
+        return _optimize_blocks(obj, fam, cfg)
+    value = obj.at_measurement(fam.fixed)
+    return MinResult(value=value, method=METHOD_UNIQUE, measurement=fam.fixed, iterations=obj.evals)
 
 
 def trace_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:

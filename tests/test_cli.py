@@ -101,7 +101,6 @@ class TestCompute:
 
         # optimizer settings the library rejects are malformed input
         assert main(["compute", str(bd), "--restarts", "0"]) == 2
-        assert main(["compute", str(bd), "--grid", "4"]) == 2
         assert main(["compute", str(bd), "--degeneracy-tol", "-1"]) == 2
         capsys.readouterr()
 

@@ -146,6 +146,10 @@ class TestInvariantFamily:
     def test_maximally_mixed_qubit_sphere(self):
         fam = invariant_family(np.eye(2, dtype=complex) / 2)
         assert fam.kind == KIND_QUBIT_SPHERE
+        assert fam.blocks == ((0, 2),)
+        m = fam.refined([random_unitary(2, np.random.default_rng(28))])
+        local_measurement(m.projectors)
+        assert is_invariant(m, np.eye(2, dtype=complex) / 2)
 
     def test_partially_degenerate_blocks(self):
         fam = invariant_family(np.diag([0.5, 0.25, 0.25]).astype(complex))
