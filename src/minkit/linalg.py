@@ -131,15 +131,11 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-8)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            v[:, k] = col / phase
-    return HermEig(eigenvalues=w, eigenvectors=v)
+    w, v = w[::-1].copy(), v[:, ::-1]
+    # first component above 1e-8 of each column; a unit vector always has one
+    lead = np.argmax(np.abs(v) > 1e-8, axis=0)
+    phase = np.array([v[i, k] / abs(v[i, k]) for k, i in enumerate(lead)])
+    return HermEig(eigenvalues=w, eigenvectors=v / phase)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

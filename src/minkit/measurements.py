@@ -88,18 +88,25 @@ def sphere_measurement(e_hat: np.ndarray) -> LocalMeasurement:
 class MeasurementFamily:
     """All rank-1 projective measurements leaving a reduced state invariant.
 
-    kind "unique":           a single fixed measurement (``fixed``).
-    kind "block_degenerate": the eigenbasis columns (``basis``) refined by
-                             an arbitrary unitary inside each degenerate
-                             block; ``blocks`` lists (offset, size).
+    Each member is the eigenbasis columns (``basis``, eigenvalues
+    descending) turned by a unitary inside each degenerate block;
+    ``blocks`` lists (offset, size).
+
+    kind "unique":           every block has size 1, so the family is the
+                             one measurement ``fixed``: zero free parameters.
+    kind "block_degenerate": some block has size >= 2.
     kind "qubit_sphere":     the one-block case dA = 2, ``blocks`` ((0, 2),):
                              every direction on the Bloch sphere.
     """
 
     kind: str
-    fixed: LocalMeasurement | None = None
-    basis: np.ndarray | None = None
-    blocks: tuple[tuple[int, int], ...] | None = None
+    basis: np.ndarray
+    blocks: tuple[tuple[int, int], ...]
+
+    @property
+    def fixed(self) -> LocalMeasurement | None:
+        """The measurement of a unique family; None for the other kinds."""
+        return self.refined(()) if self.kind == KIND_UNIQUE else None
 
     def refined(self, block_unitaries) -> LocalMeasurement:
         """Rank-1 measurement from one unitary per degenerate block.
@@ -107,17 +114,12 @@ class MeasurementFamily:
         ``block_unitaries`` supplies a unitary for each block of size >= 2,
         in block order; size-1 blocks have no freedom.
         """
-        if self.kind == KIND_UNIQUE:
-            raise ValueError("refined() applies to degenerate families only")
         cols = self.basis.copy()
         it = iter(block_unitaries)
         for off, size in self.blocks:
             if size >= 2:
-                u = next(it)
-                cols[:, off : off + size] = cols[:, off : off + size] @ u
-        return LocalMeasurement(
-            projectors=tuple(np.outer(cols[:, k], cols[:, k].conj()) for k in range(cols.shape[1]))
-        )
+                cols[:, off : off + size] = cols[:, off : off + size] @ next(it)
+        return LocalMeasurement(projectors=tuple(cols.T[:, :, None] * cols.T.conj()[:, None, :]))
 
 
 def invariant_family(rho_a: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> MeasurementFamily:
@@ -136,11 +138,7 @@ def invariant_family(rho_a: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) 
         if k == len(w) or w[k - 1] - w[k] > degeneracy_tol:
             blocks.append((start, k - start))
             start = k
-    if all(size == 1 for _, size in blocks):
-        projs = tuple(
-            np.outer(eig.eigenvectors[:, k], eig.eigenvectors[:, k].conj())
-            for k in range(len(w))
-        )
-        return MeasurementFamily(kind=KIND_UNIQUE, fixed=LocalMeasurement(projectors=projs))
-    kind = KIND_QUBIT_SPHERE if rho_a.shape[0] == 2 else KIND_BLOCK
+    kind = KIND_QUBIT_SPHERE if len(w) == 2 else KIND_BLOCK
+    if len(blocks) == len(w):  # every block has size 1
+        kind = KIND_UNIQUE
     return MeasurementFamily(kind=kind, basis=eig.eigenvectors, blocks=tuple(blocks))

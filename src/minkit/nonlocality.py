@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, psd_sqrt, random_unitary
+from .linalg import PAULIS, _local_action, dagger, random_unitary
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
     LocalMeasurement,
     MeasurementFamily,
-    apply_projectors,
     invariant_family,
 )
 from .states import (
@@ -81,10 +80,11 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.degeneracy_tol < 0:
-            raise ValueError("degeneracy_tol must be >= 0")
+        # a negated range test, so that NaN fails it too
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0 <= self.degeneracy_tol < math.inf:
+            raise ValueError("degeneracy_tol must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -299,51 +299,6 @@ def sphere_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([tt, pp]), vecs
 
 
-class _Disturbance:
-    """Evaluates one disturbance measure for a fixed state.
-
-    ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
-    (2(1 - sqrt(fidelity))).  ``of_posts`` takes a stack of post-measurement
-    matrices and counts its evaluations in ``evals``.
-    When rho is rank-deficient the fidelity is taken on its support, from
-    the eigenvalues of factor^dag post factor with rho = factor factor^dag:
-    the square roots of round-off eigenvalues outside the support would
-    leave about 1e-8 of noise in the value.
-    """
-
-    def __init__(self, rho: DensityMatrix, which: str):
-        self.mat = rho.mat
-        self.dims = rho.dims
-        self.which = which
-        self.evals = 0
-        self._sqrt = self.factor = None
-        if which == "bures":
-            # rho = factor factor^dag on its support
-            w, v = np.linalg.eigh(rho.mat)
-            keep = w > _SUPPORT_TOL * w[-1]
-            self.factor = v[:, keep] * np.sqrt(w[keep])
-            if keep.all():
-                self._sqrt = psd_sqrt(rho.mat)
-
-    def of_posts(self, posts: np.ndarray) -> np.ndarray:
-        """Disturbance of each post-measurement matrix in a stack (N, n, n)."""
-        self.evals += len(posts)
-        if self.which == "trace":
-            return np.abs(np.linalg.eigvalsh(self.mat - posts)).sum(axis=-1)
-        if self.which == "hs":
-            return (np.abs(self.mat - posts) ** 2).sum(axis=(-2, -1))
-        if self._sqrt is not None:
-            inner = self._sqrt @ posts @ self._sqrt
-        else:
-            inner = dagger(self.factor) @ posts @ self.factor
-        w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-        fid = np.clip(np.sqrt(np.clip(w, 0.0, None)).sum(axis=-1) ** 2, 0.0, 1.0)
-        return 2.0 * (1.0 - np.sqrt(fid))
-
-    def at_measurement(self, m: LocalMeasurement) -> float:
-        return float(self.of_posts(apply_projectors(self.mat, m, self.dims[1])[None])[0])
-
-
 def _canonical_axis(axis: np.ndarray) -> np.ndarray:
     """The one of +-axis (the same measurement) whose first nonzero
     coordinate in the order (z, y, x) is positive."""
@@ -396,34 +351,61 @@ def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _BlockSearch:
-    """The block branch in the eigenbasis frame of rho_A.
+    """One measure of rho over its invariant family, in the eigenbasis frame of rho_A.
 
-    A point is a unitary U (dA x dA) acting inside the degenerate blocks; it
-    stands for the measurement on the columns of ``fam.basis @ U``.  With
-    rho~ = (U^dag x I) rho (U x I) in that frame, the post-measurement state
-    is D(rho~), the diagonal A blocks of rho~.  Every method takes a stack
-    (k, dA, dA) of U's, and every evaluation is counted in ``obj.evals``.
+    ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
+    (2(1 - sqrt(fidelity))).  A point is a unitary U (dA x dA) acting inside
+    the degenerate blocks; it stands for the measurement on the columns of
+    ``fam.basis @ U``.  With rho~ = (U^dag x I) rho (U x I) in that frame,
+    the post-measurement state is D(rho~), the diagonal A blocks of rho~.
+    A nondegenerate marginal has no free parameter and U = I.  Every method
+    takes a stack (k, dA, dA) of U's and counts its evaluations in ``evals``.
+    Bures is taken on the support of rho, where rho = W W^dag: the roots of
+    round-off eigenvalues outside it would leave 1e-8 of noise.
     """
 
-    def __init__(self, obj: _Disturbance, fam: MeasurementFamily):
-        self.obj = obj
-        da, db = obj.dims
-        self.da = da
-        lift = np.kron(fam.basis, np.eye(db))
-        self.rho = dagger(lift) @ obj.mat @ lift
-        self.factor = dagger(lift) @ obj.factor if obj.which == "bures" else None
-        within = np.zeros((da, da), dtype=bool)
-        for off, size in fam.blocks:
-            within[off : off + size, off : off + size] = True
+    def __init__(self, rho: DensityMatrix, which: str, fam: MeasurementFamily):
+        self.which, self.dims, self.da, self.evals = which, rho.dims, rho.da, 0
+        # V x I for the eigenbasis V of rho_A
+        lift = np.einsum("ac,bd->abcd", fam.basis, np.eye(rho.db)).reshape(rho.mat.shape)
+        self.rho = dagger(lift) @ rho.mat @ lift
+        if which == "bures":
+            w, v = np.linalg.eigh(rho.mat)
+            keep = w > _SUPPORT_TOL * w[-1]
+            self.factor = dagger(lift) @ (v[:, keep] * np.sqrt(w[keep]))
         # tangent coordinates: real and imaginary parts of H_ij, i < j in a block
-        self.rows, self.cols = np.nonzero(np.triu(within, 1))
-        self.diag = np.eye(da)[:, None, :, None]
+        self.pairs = [[off + i, off + j] for off, size in fam.blocks
+                      for i in range(size) for j in range(i + 1, size)]
+        self.rows, self.cols = np.array(self.pairs, dtype=int).reshape(-1, 2).T
+        self.diag = np.eye(self.da)[:, None, :, None]
 
     def frames(self, us: np.ndarray) -> np.ndarray:
         """rho~ for each U, shaped (k, dA, dB, dA, dB)."""
-        self.obj.evals += len(us)
-        out = _local_action(self.rho, dagger(us)[:, None], self.obj.dims, "A")
-        return out.reshape((len(us),) + self.obj.dims * 2)
+        self.evals += len(us)
+        if not self.rows.size:  # no free parameter: U = I and rho~ is the lifted frame
+            return self.rho.reshape((1,) + self.dims * 2).repeat(len(us), axis=0)
+        out = _local_action(self.rho, dagger(us)[:, None], self.dims, "A")
+        return out.reshape((len(us),) + self.dims * 2)
+
+    def _spectral(self, us: np.ndarray, rt: np.ndarray):
+        """The matrix whose eigenvalues give the value of each U, and W~: rho~ - D(rho~)
+        for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W for Bures."""
+        k, n = len(us), self.rho.shape[0]
+        if self.which == "trace":
+            return (rt * (1.0 - self.diag)).reshape(k, n, n), None
+        wt = (dagger(us) @ self.factor.reshape(self.da, -1)).reshape(k, n, -1)
+        return dagger(wt) @ (rt * self.diag).reshape(k, n, n) @ wt, wt
+
+    def value(self, u: np.ndarray) -> float:
+        """The measure at one U, from the spectrum that ``smoothed`` uses."""
+        rt = self.frames(u[None])
+        if self.which == "hs":
+            return float((np.abs(rt * (1.0 - self.diag)) ** 2).sum())
+        w = np.linalg.eigvalsh(self._spectral(u[None], rt)[0])[0]
+        if self.which == "trace":
+            return float(np.abs(w).sum())
+        fid = min(max(float(np.sqrt(np.clip(w, 0.0, None)).sum()) ** 2, 0.0), 1.0)
+        return 2.0 * (1.0 - math.sqrt(fid))
 
     def jacobi(self, tol: float) -> np.ndarray:
         """HS optimum by Jacobi sweeps from the identity.
@@ -435,10 +417,9 @@ class _BlockSearch:
         the sweeps stop once one gains at most ``tol``.
         """
         u = np.eye(self.da, dtype=complex)[None]
-        pairs = [list(pair) for pair in zip(self.rows, self.cols)]
         for _ in range(_JACOBI_SWEEPS):
             gain = 0.0
-            for pair in pairs:
+            for pair in self.pairs:
                 g = _pauli_gram(_pauli_blocks(self.frames(u)[0][pair][:, :, pair]))
                 w, v = np.linalg.eigh(g)
                 step = (g[2, 2] - w[0]) / 2
@@ -462,16 +443,15 @@ class _BlockSearch:
         derivative is -tr(H tr_B[D(rho~), Z] + H tr_B[D(Z), rho~]).
         """
         rt = self.frames(us)
-        k, n = len(us), self.rho.shape[0]
-        if self.obj.which == "trace":
-            w, v = np.linalg.eigh((rt * (1.0 - self.diag)).reshape(k, n, n))
+        x, wt = self._spectral(us, rt)
+        if self.which == "trace":
+            w, v = np.linalg.eigh(x)
             root = np.sqrt(w * w + mu * mu)
             s = ((v * (w / root)[:, None, :]) @ dagger(v)).reshape(rt.shape) * (1.0 - self.diag)
             m = np.einsum("nabcd,ncdeb->nae", s, rt)
             value, true = root.sum(-1), np.abs(w).sum(-1)
         else:
-            wt = (dagger(us) @ self.factor.reshape(self.da, -1)).reshape(k, n, -1)
-            c, q = np.linalg.eigh(dagger(wt) @ (rt * self.diag).reshape(k, n, n) @ wt)
+            c, q = np.linalg.eigh(x)
             root = np.sqrt(c + mu * mu)
             p = (wt @ q) / np.sqrt(root)[:, None, :]
             z = (p @ dagger(p)).reshape(rt.shape)
@@ -527,20 +507,27 @@ class _BlockSearch:
         return us[np.argmax(true >= true.max() - tol)]
 
 
-def _optimize_blocks(obj: _Disturbance, fam: MeasurementFamily, cfg: OptimizerConfig) -> MinResult:
-    """Maximize over the block unitaries of a degenerate rho_A.
+def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult:
+    """Maximize over the block unitaries of rho_A's invariant family.
 
     HS is the Jacobi optimum from the identity.  Trace and Bures ascend
     from the identity, the HS optimum and 2 ``cfg.restarts`` Haar block
-    unitaries drawn from ``cfg.seed``.  The value is evaluated once more at
-    the returned measurement.  On the qubit sphere (dA = 2) the result also
-    carries the Bloch axis of the first projector, by ``_canonical_axis``.
+    unitaries drawn from ``cfg.seed``.  A nondegenerate marginal is the case
+    with no free parameter: no Jacobi pair, no start and no ascent, only the
+    identity.  The value is evaluated once more at the returned U.  On the
+    qubit sphere (dA = 2) the result also carries the Bloch axis of the
+    first projector, by ``_canonical_axis``.
     """
-    search = _BlockSearch(obj, fam)
+    if rho.da * rho.db > DIM_LIMIT:
+        raise DimensionLimitError(
+            f"state dimension {rho.da * rho.db} exceeds the numeric bound {DIM_LIMIT}"
+        )
+    fam = invariant_family(reduced_state(rho, "A"), cfg.degeneracy_tol)
+    search = _BlockSearch(rho, which, fam)
     u = search.jacobi(cfg.tol)
-    if obj.which != "hs":
+    if which != "hs" and search.rows.size:
         rng = np.random.default_rng(cfg.seed)
-        starts = np.tile(np.eye(obj.dims[0], dtype=complex), (2 * cfg.restarts + 2, 1, 1))
+        starts = np.tile(np.eye(rho.da, dtype=complex), (2 * cfg.restarts + 2, 1, 1))
         starts[1] = u
         for start in starts[2:]:
             for off, size in fam.blocks:
@@ -548,26 +535,14 @@ def _optimize_blocks(obj: _Disturbance, fam: MeasurementFamily, cfg: OptimizerCo
                     start[off : off + size, off : off + size] = random_unitary(size, rng)
         u = search.ascend(starts, cfg.tol)
     measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
-    value = obj.at_measurement(measurement)
+    value = search.value(u)
     if fam.kind != KIND_QUBIT_SPHERE:
-        return MinResult(value, METHOD_BLOCK, measurement, iterations=obj.evals)
+        method = METHOD_UNIQUE if fam.kind == KIND_UNIQUE else METHOD_BLOCK
+        return MinResult(value, method, measurement, iterations=search.evals)
     p = measurement.projectors[0]
     # + 0.0 turns the -0.0 of a negated zero into 0.0
     axis = np.array([2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]) + 0.0
-    return MinResult(value, METHOD_SPHERE, measurement, _canonical_axis(axis), iterations=obj.evals)
-
-
-def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult:
-    if rho.da * rho.db > DIM_LIMIT:
-        raise DimensionLimitError(
-            f"state dimension {rho.da * rho.db} exceeds the numeric bound {DIM_LIMIT}"
-        )
-    fam = invariant_family(reduced_state(rho, "A"), cfg.degeneracy_tol)
-    obj = _Disturbance(rho, which)
-    if fam.kind != KIND_UNIQUE:
-        return _optimize_blocks(obj, fam, cfg)
-    value = obj.at_measurement(fam.fixed)
-    return MinResult(value=value, method=METHOD_UNIQUE, measurement=fam.fixed, iterations=obj.evals)
+    return MinResult(value, METHOD_SPHERE, measurement, _canonical_axis(axis), search.evals)
 
 
 def trace_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:

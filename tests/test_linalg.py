@@ -204,6 +204,28 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    def test_phases_match_column_loop(self):
+        # reference: each column divided by the phase of its first
+        # component above 1e-8, one column at a time; the eigenbasis feeds
+        # the numeric optimizers, so the result must agree to the last bit
+        rng = np.random.default_rng(9)
+        for k in range(200):
+            n = 1 + k % 6
+            m = _random_hermitian(rng, n)
+            if k % 4 == 1:
+                m = m.real
+            elif k % 4 == 2:
+                m = np.diag(rng.standard_normal(n)).astype(complex)
+            elif k % 4 == 3:
+                u = random_unitary(n, rng)
+                m = (u * np.repeat(rng.random(n), 2)[:n]) @ dagger(u)
+            v = np.linalg.eigh((m + dagger(m)) / 2)[1][:, ::-1].copy()
+            for j in range(n):
+                col = v[:, j]
+                lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
+                v[:, j] = col / (lead / abs(lead))
+            np.testing.assert_array_equal(hermitian_eig(m).eigenvectors, v)
+
 
 class TestPsdSqrt:
     def test_identity(self):

@@ -142,6 +142,10 @@ class TestInvariantFamily:
         expected = [(np.eye(2) + PAULIS[2]) / 2, (np.eye(2) - PAULIS[2]) / 2]
         for got, want in zip(fam.fixed.projectors, expected):
             np.testing.assert_allclose(got, want, atol=1e-12)
+        # the zero-parameter case of the block family
+        assert fam.blocks == ((0, 1), (1, 1))
+        for got, want in zip(fam.refined(()).projectors, fam.fixed.projectors):
+            np.testing.assert_array_equal(got, want)
 
     def test_maximally_mixed_qubit_sphere(self):
         fam = invariant_family(np.eye(2, dtype=complex) / 2)
