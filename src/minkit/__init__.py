@@ -62,6 +62,8 @@ from .nonlocality import (
     hs_min_two_qubit,
     hs_min_werner,
     max_entangled_trace_min,
+    oracle_audit,
+    relation_audit,
     relation_report,
     sphere_directions,
     trace_min_isotropic,

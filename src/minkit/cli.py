@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,26 +31,17 @@ from .nonlocality import (
     bures_min_numeric,
     closed_form,
     hs_min_numeric,
-    relation_report,
+    oracle_audit,
+    relation_audit,
     trace_min_numeric,
-    trace_min_two_qubit,
 )
 from .states import (
     DensityMatrix,
     StateFormatError,
     StateInvariantError,
     bell_diagonal_weights,
-    bloch_decompose,
-    canonicalize,
-    density_from_pure,
     in_tetrahedron,
     load_state,
-    make_bell_diagonal,
-    make_isotropic,
-    make_werner,
-    random_bell_triple,
-    random_density,
-    random_pure,
 )
 
 _NUMERIC = {"n1": trace_min_numeric, "n2": hs_min_numeric, "nb": bures_min_numeric}
@@ -107,17 +98,23 @@ def _column_text(col: tuple) -> list[str]:
     return [_FLOAT_CELL % v if isinstance(v, float) else str(v) for v in col]
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is malformed input."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Write ``rows`` (all of one length) under ``header``, column by column."""
     cols = [_column_text(col) for col in zip(*rows, strict=True)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
+    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -130,15 +127,6 @@ def _optimizer_config(args) -> OptimizerConfig:
         )
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
-
-
-def _config_dict(cfg: OptimizerConfig) -> dict:
-    return {
-        "restarts": cfg.restarts,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "degeneracy_tol": cfg.degeneracy_tol,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +172,11 @@ def _cmd_compute(args) -> int:
     text = json.dumps(payload, sort_keys=True, allow_nan=False)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write_text(args.out, text + "\n")
         _write_manifest(
             args.out,
             f"compute --measure {args.measure} --method {args.method}",
-            _config_dict(cfg),
+            asdict(cfg),
             args.seed,
             _file_digest(args.state),
         )
@@ -257,10 +244,12 @@ def _cmd_sweep(args) -> int:
         c0 = np.array([float(v) for v in args.c0.split(",")])
     except ValueError as exc:
         raise _InputError(f"--c0 expects three comma-separated numbers: {exc}") from exc
-    if c0.size != 3:
-        raise _InputError("--c0 expects three comma-separated numbers")
+    if c0.size != 3 or not np.isfinite(c0).all():
+        raise _InputError(f"--c0 expects three finite comma-separated numbers, got {args.c0}")
+    if not (np.isfinite(args.tmax) and args.tmax >= 0.0):
+        raise _InputError(f"--tmax must be finite and >= 0, got {args.tmax}")
     if not in_tetrahedron(c0):
-        raise StateInvariantError(f"initial triple {tuple(c0)} is not physical")
+        raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     times = np.linspace(0.0, args.tmax, args.grid)
     trace = dynamics_sweep(c0, args.axis, args.sided, times)
     rows = [
@@ -285,122 +274,14 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sumabs_reading(rho: DensityMatrix) -> float:
-    """Two-qubit closed form with the sum-of-absolute-values Bloch norm.
-
-    Diagnostic only: this alternative reading breaks projector
-    normalization, so the oracle audit reports its residual next to the
-    Euclidean reading rather than adopting it.
-    """
-    _, form = canonicalize(rho)
-    c, x = form.c, form.x
-    xn = float(np.abs(x).sum())
-    if xn < 1e-8:
-        return float(np.abs(c).max())
-    cn = float(np.abs(c).sum())
-    c2, x2 = c**2, x**2
-    alpha = cn**2 * xn**2 - float((c2 * x2).sum())
-    beta = float(x2[0] * c2[1] * c2[2] + x2[1] * c2[2] * c2[0] + x2[2] * c2[0] * c2[1])
-    chi_p = alpha + 2.0 * math.sqrt(beta) * xn
-    chi_m = alpha - 2.0 * math.sqrt(beta) * xn
-    return (math.sqrt(max(chi_p, 0.0)) + math.sqrt(max(chi_m, 0.0))) / (2.0 * xn)
-
-
-def _audit_monotonicity(args, cfg: OptimizerConfig) -> dict:
-    report = monotonicity_audit(args.counts, args.channels, args.seed, cfg)
-    report["passed"] = report["n_violations"] == 0
-    return report
-
-
-def _audit_relations(args, cfg: OptimizerConfig) -> dict:
-    cases = []
-    for d in (2, 3, 4):
-        for x in np.linspace(-1.0, 1.0, 11):
-            rep = relation_report(make_werner(d, float(x)), cfg)
-            rep["tolerance"] = 1e-10
-            cases.append(rep)
-    for d in (2, 3):
-        for x in np.linspace(0.0, 1.0, 11):
-            rep = relation_report(make_isotropic(d, float(x)), cfg)
-            rep["tolerance"] = 1e-10
-            cases.append(rep)
-    rng = np.random.default_rng(args.seed)
-    for _ in range(args.counts):
-        rep = relation_report(make_bell_diagonal(random_bell_triple(rng)), cfg)
-        rep["tolerance"] = 1e-10
-        cases.append(rep)
-    for k in range(max(1, args.counts // 2)):
-        psi = random_pure((2, 2 + k % 2), rng)
-        rep = relation_report(density_from_pure(psi), cfg)
-        rep["tolerance"] = 1e-8
-        cases.append(rep)
-    failures = [c for c in cases if c["residual"] > c["tolerance"]]
-    return {
-        "cases": cases,
-        "n_cases": len(cases),
-        "n_failures": len(failures),
-        "max_residual": max(c["residual"] for c in cases),
-        "passed": not failures,
-    }
-
-
-def _audit_oracle(args, cfg: OptimizerConfig) -> dict:
-    rng = np.random.default_rng(args.seed)
-    generic = []
-    attempts = 0
-    while len(generic) < args.counts:
-        rho = random_density((2, 2), rank=1 + attempts % 4, seed=rng)
-        attempts += 1
-        if np.linalg.norm(bloch_decompose(rho).x) > 0.05:
-            generic.append(rho)
-    generic_cases = []
-    for rho in generic:
-        closed = trace_min_two_qubit(rho).value
-        numeric = trace_min_numeric(rho, cfg)
-        generic_cases.append(
-            {
-                "closed": closed,
-                "numeric": numeric.value,
-                "method": numeric.method,
-                "residual": abs(closed - numeric.value),
-                "residual_sumabs_reading": abs(_sumabs_reading(rho) - numeric.value),
-            }
-        )
-    sphere_cases = []
-    for _ in range(max(1, args.counts // 2)):
-        c = random_bell_triple(rng)
-        rho = make_bell_diagonal(c)
-        numeric = trace_min_numeric(rho, cfg)
-        sphere_cases.append(
-            {
-                "closed": float(np.abs(c).max()),
-                "numeric": numeric.value,
-                "method": numeric.method,
-                "residual": abs(float(np.abs(c).max()) - numeric.value),
-            }
-        )
-    max_generic = max(c["residual"] for c in generic_cases)
-    max_sphere = max(c["residual"] for c in sphere_cases)
-    return {
-        "generic": generic_cases,
-        "sphere": sphere_cases,
-        "max_residual_unique": max_generic,
-        "max_residual_sphere": max_sphere,
-        "max_residual_sumabs_reading": max(
-            c["residual_sumabs_reading"] for c in generic_cases
-        ),
-        "passed": bool(max(max_generic, max_sphere) <= 1e-8),
-    }
-
-
 def _cmd_audit(args) -> int:
     cfg = _optimizer_config(args)
-    runner = {
-        "monotonicity": _audit_monotonicity,
-        "relations": _audit_relations,
-        "oracle": _audit_oracle,
-    }[args.kind]
-    report = runner(args, cfg)
+    if args.kind == "monotonicity":
+        report = monotonicity_audit(args.counts, args.channels, args.seed, cfg)
+    elif args.kind == "relations":
+        report = relation_audit(args.counts, args.seed, cfg)
+    else:
+        report = oracle_audit(args.counts, args.seed, cfg)
     report["kind"] = args.kind
     if args.out:
         _write_json(args.out, report)

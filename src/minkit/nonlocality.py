@@ -12,7 +12,8 @@ invariant projective measurements on party A:
 Closed-form evaluators cover 2xn pure states, arbitrary two-qubit states,
 and the Werner / isotropic families; ``*_numeric`` optimizers act as
 independent oracles by maximizing over the invariant-measurement family
-directly.
+directly.  ``relation_audit`` and ``oracle_audit`` check the two against
+each other on seeded ensembles.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ from .states import (
     DensityMatrix,
     SchmidtForm,
     bloch_decompose,
+    canonicalize,
+    density_from_pure,
     detect_family,
+    make_bell_diagonal,
+    make_isotropic,
+    make_werner,
+    random_bell_triple,
+    random_density,
+    random_pure,
     reduced_state,
 )
 
@@ -561,7 +570,7 @@ def bures_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Cross-measure identities per state family
+# Cross-measure identities per state family, and the audits
 # ---------------------------------------------------------------------------
 
 
@@ -607,3 +616,107 @@ def relation_report(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> d
         report["d"] = int(params["d"])
         report["x"] = float(params["x"])
     return report
+
+
+def relation_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> dict:
+    """``relation_report`` over the Werner (d = 2, 3, 4) and isotropic (d = 2, 3)
+    families at 11 parameters each, ``counts`` seeded Bell-diagonal states and
+    max(1, counts // 2) seeded 2x2 and 2x3 pure states.
+
+    A family state passes with a residual of at most 1e-10, a pure state
+    with at most 1e-8; the audit passes when every state does.
+    """
+    if counts < 1:
+        raise ValueError("counts must be >= 1")
+    cfg = cfg or OptimizerConfig()
+    rng = np.random.default_rng(seed)
+    families = [make_werner(d, float(x)) for d in (2, 3, 4) for x in np.linspace(-1.0, 1.0, 11)]
+    families += [make_isotropic(d, float(x)) for d in (2, 3) for x in np.linspace(0.0, 1.0, 11)]
+    families += [make_bell_diagonal(random_bell_triple(rng)) for _ in range(counts)]
+    pure = [density_from_pure(random_pure((2, 2 + k % 2), rng)) for k in range(max(1, counts // 2))]
+    cases = [
+        {**relation_report(rho, cfg), "tolerance": tol}
+        for states, tol in ((families, 1e-10), (pure, 1e-8))
+        for rho in states
+    ]
+    failures = [c for c in cases if c["residual"] > c["tolerance"]]
+    return {
+        "cases": cases,
+        "n_cases": len(cases),
+        "n_failures": len(failures),
+        "max_residual": max(c["residual"] for c in cases),
+        "passed": not failures,
+    }
+
+
+def _sumabs_reading(rho: DensityMatrix) -> float:
+    """Two-qubit closed form with the sum-of-absolute-values Bloch norm.
+
+    Diagnostic only: this alternative reading breaks projector
+    normalization, so the oracle audit reports its residual next to the
+    Euclidean reading rather than adopting it.
+    """
+    _, form = canonicalize(rho)
+    c, x = form.c, form.x
+    xn = float(np.abs(x).sum())
+    if xn < 1e-8:
+        return float(np.abs(c).max())
+    cn = float(np.abs(c).sum())
+    c2, x2 = c**2, x**2
+    alpha = cn**2 * xn**2 - float((c2 * x2).sum())
+    beta = float(x2[0] * c2[1] * c2[2] + x2[1] * c2[2] * c2[0] + x2[2] * c2[0] * c2[1])
+    chi_p = alpha + 2.0 * math.sqrt(beta) * xn
+    chi_m = alpha - 2.0 * math.sqrt(beta) * xn
+    return (math.sqrt(max(chi_p, 0.0)) + math.sqrt(max(chi_m, 0.0))) / (2.0 * xn)
+
+
+def _oracle_case(rho: DensityMatrix, closed: float, cfg: OptimizerConfig) -> dict:
+    """A closed trace MIN against the numeric one of ``rho``."""
+    numeric = trace_min_numeric(rho, cfg)
+    return {
+        "closed": closed,
+        "numeric": numeric.value,
+        "method": numeric.method,
+        "residual": abs(closed - numeric.value),
+    }
+
+
+def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> dict:
+    """The numeric trace MIN against its closed forms on seeded two-qubit states.
+
+    ``counts`` random states (ranks cycling 1..4) with |x| > 0.05 take the
+    unique branch (for a ``degeneracy_tol`` below 0.05) and are checked against ``trace_min_two_qubit``, with the
+    residual of ``_sumabs_reading`` recorded next to it;
+    max(1, counts // 2) random Bell-diagonal states take the qubit sphere and
+    are checked against the largest |c_i|.  The audit passes when every
+    residual is at most 1e-8.
+    """
+    if counts < 1:
+        raise ValueError("counts must be >= 1")
+    cfg = cfg or OptimizerConfig()
+    rng = np.random.default_rng(seed)
+    generic, attempts = [], 0
+    while len(generic) < counts:
+        rho = random_density((2, 2), rank=1 + attempts % 4, seed=rng)
+        attempts += 1
+        if np.linalg.norm(bloch_decompose(rho).x) > 0.05:
+            generic.append(rho)
+    triples = [random_bell_triple(rng) for _ in range(max(1, counts // 2))]
+    generic_cases = []
+    for rho in generic:
+        case = _oracle_case(rho, trace_min_two_qubit(rho).value, cfg)
+        case["residual_sumabs_reading"] = abs(_sumabs_reading(rho) - case["numeric"])
+        generic_cases.append(case)
+    sphere_cases = [
+        _oracle_case(make_bell_diagonal(c), float(np.abs(c).max()), cfg) for c in triples
+    ]
+    max_generic = max(c["residual"] for c in generic_cases)
+    max_sphere = max(c["residual"] for c in sphere_cases)
+    return {
+        "generic": generic_cases,
+        "sphere": sphere_cases,
+        "max_residual_unique": max_generic,
+        "max_residual_sphere": max_sphere,
+        "max_residual_sumabs_reading": max(c["residual_sumabs_reading"] for c in generic_cases),
+        "passed": bool(max(max_generic, max_sphere) <= 1e-8),
+    }

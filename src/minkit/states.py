@@ -240,7 +240,7 @@ def make_bell_diagonal(c: np.ndarray) -> DensityMatrix:
     """Two-qubit state with zero local vectors and tensor ``diag(c)``."""
     if not in_tetrahedron(c):
         raise StateInvariantError(
-            f"correlation triple {tuple(c)} lies outside the physical tetrahedron"
+            f"correlation triple {tuple(map(float, c))} lies outside the physical tetrahedron"
         )
     return validate(bloch_matrix(np.zeros(3), np.zeros(3), np.diag(c)), (2, 2))
 

@@ -190,7 +190,8 @@ class TestDynamicsSweep:
         assert np.all(np.diff(trace.n2_t) < 0.0)
 
     def test_rejects_unphysical_start(self):
-        with pytest.raises(ValueError, match="physical"):
+        # the message prints plain floats, not numpy reprs
+        with pytest.raises(ValueError, match=r"initial triple \(1\.0, 1\.0, 1\.0\) is not physical"):
             dynamics_sweep([1.0, 1.0, 1.0], 3, "one", np.array([0.0]))
 
     @pytest.mark.parametrize("sided", ["one", "two"])
@@ -307,6 +308,7 @@ class TestMonotonicityAudit:
         assert report["pairs"] == 40
         assert report["n_violations"] == 0
         assert report["max_increase"] <= 1e-8
+        assert report["passed"] is True
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import minkit
+from minkit.channels import monotonicity_audit
 from minkit.cli import main, surface_rows
+from minkit.nonlocality import OptimizerConfig, oracle_audit, relation_audit
 from minkit.linalg import tensor_product
 from minkit.states import (
     bell_diagonal_weights,
@@ -127,8 +129,27 @@ class TestCompute:
             assert exc.value.code == 2
         assert main(["sweep", "--c0", "a,b,c", "--axis", "3", "--out", out]) == 2
         assert main(["sweep", "--c0", "0.1,0.2", "--axis", "3", "--out", out]) == 2
+        for c0 in ("nan,0.2,0.3", "0.1,inf,0.3", "0.1,0.2,-inf"):
+            assert main(["sweep", "--c0", c0, "--axis", "3", "--out", out]) == 2
+        for tmax in ("-1", "nan", "inf", "-inf"):
+            assert main(["sweep", "--c0", "0.2,0.3,0.45", "--axis", "3", f"--tmax={tmax}",
+                         "--out", out]) == 2
+            assert "--tmax" in capsys.readouterr().err
         capsys.readouterr()
         assert not (tmp_path / "x.csv").exists()
+
+        # an --out path that cannot be written is malformed input, not a traceback
+        missing = str(tmp_path / "missing" / "x.csv")
+        for argv in (
+            ["surface", "--level", "0.45", "--resolution", "3"],
+            ["region", "--axis", "3", "--resolution", "3"],
+            ["sweep", "--c0", "0.2,0.3,0.45", "--axis", "3", "--grid", "3"],
+            ["compute", str(bd)],
+            ["audit", "--kind", "monotonicity", "--counts", "1"],
+        ):
+            assert main(argv + ["--out", missing]) == 2
+            assert f"cannot write {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
 
     def test_out_file_and_manifest(self, capsys, bd_state, tmp_path):
         out_path = tmp_path / "report.json"
@@ -283,6 +304,10 @@ class TestSweep:
         assert main(["sweep", "--c0", "1,1,1", "--axis", "3", "--out", "/tmp/x.csv"]) == 3
         capsys.readouterr()
 
+    def test_unphysical_triple_message_prints_plain_floats(self, capsys):
+        main(["sweep", "--c0", "1,1,1", "--axis", "3", "--out", "/tmp/x.csv"])
+        assert "initial triple (1.0, 1.0, 1.0) is not physical" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_monotonicity_passes(self, capsys, tmp_path):
@@ -321,6 +346,20 @@ class TestAudit:
         # the sum-of-absolute-values reading of the Bloch norm is not the
         # right one; its recorded residual should be visibly worse
         assert report["max_residual_sumabs_reading"] > 1e-3
+
+    @pytest.mark.parametrize("kind", ["monotonicity", "relations", "oracle"])
+    def test_writes_the_library_report(self, capsys, tmp_path, kind):
+        cfg = OptimizerConfig(seed=11)
+        report = {
+            "monotonicity": lambda: monotonicity_audit(3, 2, 11, cfg),
+            "relations": lambda: relation_audit(3, 11, cfg),
+            "oracle": lambda: oracle_audit(3, 11, cfg),
+        }[kind]()
+        out = tmp_path / "audit.json"
+        argv = ["audit", "--kind", kind, "--counts", "3", "--channels", "2", "--seed", "11"]
+        code, _ = _run(capsys, argv + ["--out", str(out)])
+        assert code == (0 if report["passed"] else 1)
+        assert json.loads(out.read_text()) == json.loads(json.dumps({**report, "kind": kind}))
 
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

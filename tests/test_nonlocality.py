@@ -30,6 +30,8 @@ from minkit.nonlocality import (
     hs_min_two_qubit,
     hs_min_werner,
     max_entangled_trace_min,
+    oracle_audit,
+    relation_audit,
     relation_report,
     sphere_directions,
     trace_min_isotropic,
@@ -430,6 +432,30 @@ class TestRelationReport:
     def test_unsupported_family(self):
         with pytest.raises(ValueError, match="family"):
             relation_report(random_density((2, 2), 4, 41))
+
+
+class TestAudits:
+    def test_relation_audit_passes(self):
+        report = relation_audit(7, 5)
+        # 33 Werner, 22 isotropic, 7 Bell-diagonal and 7 // 2 pure states
+        assert report["n_cases"] == 65
+        # the pure states come last, at the looser tolerance
+        assert [c["tolerance"] for c in report["cases"]] == [1e-10] * 62 + [1e-8] * 3
+        assert report["n_failures"] == 0
+        assert report["max_residual"] <= 1e-8
+        assert report["passed"] is True
+
+    def test_oracle_audit_passes(self):
+        report = oracle_audit(6, 3)
+        assert len(report["generic"]) == 6 and len(report["sphere"]) == 3
+        assert {c["method"] for c in report["generic"]} == {METHOD_UNIQUE}
+        assert {c["method"] for c in report["sphere"]} == {METHOD_SPHERE}
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize("audit", [relation_audit, oracle_audit])
+    def test_rejects_bad_counts(self, audit):
+        with pytest.raises(ValueError, match="counts"):
+            audit(0, 0)
 
 
 class TestClosedForm:

@@ -213,6 +213,8 @@ class TestBellDiagonal:
     def test_rejects_outside_tetrahedron(self):
         with pytest.raises(StateInvariantError, match="tetrahedron"):
             make_bell_diagonal([1.0, 1.0, 1.0])
+        with pytest.raises(StateInvariantError, match=r"triple \(1\.0, 1\.0, 1\.0\) lies"):
+            make_bell_diagonal(np.ones(3))
 
     def test_random_triple_is_physical(self):
         rng = np.random.default_rng(16)
