@@ -345,18 +345,31 @@ def _pair_rotation(n: np.ndarray) -> np.ndarray:
     return np.array([[c, -s.conjugate()], [s, c]])
 
 
-def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     """BFGS update of inverse-Hessian estimates (k, p, p) by steps ``s`` and
-    gradient changes ``y``; a pair without positive curvature is skipped."""
-    sy = (s * y).sum(-1)
-    curved = sy > 1e-16 * np.linalg.norm(s, axis=-1) * np.linalg.norm(y, axis=-1)
-    r = (np.where(curved, 1.0 / np.where(curved, sy, 1.0), 0.0))[:, None, None]
-    hy = (inv @ y[..., None])[..., 0]
-    ss = s[:, :, None] * s[:, None, :]
-    cross = hy[:, :, None] * s[:, None, :]
-    return inv + r * (1.0 + r * (y * hy).sum(-1)[:, None, None]) * ss - r * (
-        cross + np.swapaxes(cross, -1, -2)
-    )
+    gradient changes ``y``; a pair without positive curvature (s.y at most
+    1e-16 |s| |y|, compared squared) is skipped.  A ``fresh`` estimate, still
+    the identity, is first scaled by s.y / y.y (Shanno and Phua), so that
+    its size matches the curvature seen along the first step."""
+    sy, yy = (s * y).sum(-1), (y * y).sum(-1)
+    curved = (sy > 0.0) & (sy * sy > 1e-32 * (s * s).sum(-1) * yy)
+    r = curved / np.where(curved, sy, 1.0)
+    scale = fresh & curved
+    if scale.any():
+        inv = inv * np.where(scale, sy / np.where(scale, yy, 1.0), 1.0)[:, None, None]
+    # inv + (1 + r y.hy) r s s^T - r (hy s^T + s hy^T)
+    rs, hy = r[:, None] * s, (inv @ y[..., None])[..., 0]
+    cross = hy[:, :, None] * rs[:, None, :]
+    ss = ((1.0 + r * (y * hy).sum(-1))[:, None] * rs)[:, :, None] * s[:, None, :]
+    return inv + ss - cross - np.swapaxes(cross, -1, -2)
+
+
+def _taker(ok: np.ndarray):
+    """take(new, old): rows of ``new`` where ``ok`` and of ``old`` elsewhere;
+    ``new`` itself when every row is ``ok``."""
+    if ok.all():
+        return lambda new, old: new
+    return lambda new, old: np.where(ok.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
 
 class _BlockSearch:
@@ -386,7 +399,18 @@ class _BlockSearch:
         self.pairs = [[off + i, off + j] for off, size in fam.blocks
                       for i in range(size) for j in range(i + 1, size)]
         self.rows, self.cols = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        self.diag = np.eye(self.da)[:, None, :, None]
+        # the A blocks of rho~ that the value reads: the off-diagonal ones
+        # (rho~ - D(rho~)) for trace and HS, the diagonal ones (D(rho~)) for Bures
+        diag = np.eye(self.da)[:, None, :, None]
+        self.mask = diag if which == "bures" else 1.0 - diag
+        self.scatter = None
+        if self.rows.size and max(size for _, size in fam.blocks) == 2:
+            # flat positions of each pair's two diagonal and two off-diagonal
+            # entries in a dA x dA matrix, and I flattened, for ``rotations``
+            r, c = self.rows * self.da, self.cols * self.da
+            self.scatter = np.concatenate(
+                [r + self.rows, c + self.cols, r + self.cols, c + self.rows])
+            self.flat_eye = np.eye(self.da, dtype=complex).ravel()
 
     def frames(self, us: np.ndarray) -> np.ndarray:
         """rho~ for each U, shaped (k, dA, dB, dA, dB)."""
@@ -401,15 +425,15 @@ class _BlockSearch:
         for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W for Bures."""
         k, n = len(us), self.rho.shape[0]
         if self.which == "trace":
-            return (rt * (1.0 - self.diag)).reshape(k, n, n), None
+            return (rt * self.mask).reshape(k, n, n), None
         wt = (dagger(us) @ self.factor.reshape(self.da, -1)).reshape(k, n, -1)
-        return dagger(wt) @ (rt * self.diag).reshape(k, n, n) @ wt, wt
+        return dagger(wt) @ (rt * self.mask).reshape(k, n, n) @ wt, wt
 
     def value(self, u: np.ndarray) -> float:
         """The measure at one U, from the spectrum that ``smoothed`` uses."""
         rt = self.frames(u[None])
         if self.which == "hs":
-            return float((np.abs(rt * (1.0 - self.diag)) ** 2).sum())
+            return float((np.abs(rt * self.mask) ** 2).sum())
         w = np.linalg.eigvalsh(self._spectral(u[None], rt)[0])[0]
         if self.which == "trace":
             return float(np.abs(w).sum())
@@ -456,7 +480,7 @@ class _BlockSearch:
         if self.which == "trace":
             w, v = np.linalg.eigh(x)
             root = np.sqrt(w * w + mu * mu)
-            s = ((v * (w / root)[:, None, :]) @ dagger(v)).reshape(rt.shape) * (1.0 - self.diag)
+            s = ((v * (w / root)[:, None, :]) @ dagger(v)).reshape(rt.shape) * self.mask
             m = np.einsum("nabcd,ncdeb->nae", s, rt)
             value, true = root.sum(-1), np.abs(w).sum(-1)
         else:
@@ -467,13 +491,29 @@ class _BlockSearch:
             m = -np.einsum("nabad,nadeb->nae", rt, z) - np.einsum("nabad,nadeb->nae", z, rt)
             value = 2.0 - 2.0 * root.sum(-1)
             true = 2.0 - 2.0 * np.sqrt(np.clip(c, 0.0, None)).sum(-1)
-        h = dagger(m)[:, self.rows, self.cols] - m[:, self.rows, self.cols]
+        h = m[:, self.cols, self.rows].conj() - m[:, self.rows, self.cols]
         return value, true, math.sqrt(2.0) * np.concatenate([h.real, h.imag], axis=-1)
 
     def rotations(self, x: np.ndarray) -> np.ndarray:
-        """exp(H) for the anti-Hermitian H with tangent coordinates x (k, p)."""
+        """exp(H) for the anti-Hermitian H with tangent coordinates x (k, p).
+
+        When no block is larger than 2 x 2, H is a direct sum of pair blocks
+        [[0, v], [-v*, 0]], each with square -|v|^2 I, so exp(H) is
+        cos|v| on each pair's diagonal, (sin|v| / |v|) H off it and I
+        elsewhere: one scatter into copies of I.  Larger blocks take
+        exp(-i w) in the eigenbasis of the Hermitian iH.
+        """
         half = x.shape[1] // 2
         v = (x[:, :half] + 1j * x[:, half:]) / math.sqrt(2.0)
+        if self.scatter is not None:
+            theta = np.abs(v)
+            # sin(theta) / theta, where theta = 0 means v = 0 and any factor will do
+            sv = np.sin(theta) / np.where(theta > 0.0, theta, 1.0) * v
+            c = np.cos(theta)
+            out = np.empty((len(x), self.da * self.da), dtype=complex)
+            out[:] = self.flat_eye
+            out[:, self.scatter] = np.concatenate([c, c, sv, -sv.conj()], axis=1)
+            return out.reshape(len(x), self.da, self.da)
         h = np.zeros((len(x), self.da, self.da), dtype=complex)
         h[:, self.rows, self.cols], h[:, self.cols, self.rows] = v, -v.conj()
         w, q = np.linalg.eigh(1j * h)
@@ -484,34 +524,50 @@ class _BlockSearch:
 
         One stage per smoothing width in ``_SMOOTHING``, of at most
         ``_WARM_STEPS`` steps before the last and ``_ASCENT_STEPS`` in it.
-        Each step tries
-        U exp(t H) with H = (BFGS inverse Hessian) x gradient: an Armijo
-        success takes it and resets t to 1, a failure halves t.  A start
-        stops once its predicted gain g.H is at most ``tol``, whether or not
-        its last trial succeeded, or once t falls to 1e-10; a start with
-        zero gradient stops at once.
+        Each step tries U exp(t H) with H = (BFGS inverse Hessian) x
+        gradient: an Armijo success takes it and resets t to 1, a failure
+        halves t.  The inverse Hessian starts as I and carries over from
+        stage to stage; a start's first accepted step scales it by s.y / y.y
+        before the update (``_bfgs_update``).  A start stops once its
+        predicted gain g.H is at most ``tol``, whether or not its last trial
+        succeeded, or once t falls to 1e-10; a start with zero gradient
+        stops at once.  Within a stage the arrays hold the live starts only,
+        updated with ``np.where``; a start's U, value and estimate are
+        written back to the full stack when it stops or the stage ends.
         """
         k, p = len(us), 2 * len(self.rows)
-        inv = np.tile(np.eye(p), (k, 1, 1))
+        inv, fresh = np.tile(np.eye(p), (k, 1, 1)), np.ones(k, dtype=bool)
         for mu in _SMOOTHING:
             val, true, grad = self.smoothed(us, mu)
-            d = (inv @ grad[..., None])[..., 0]
-            slope, t = (grad * d).sum(-1), np.ones(k)
             live = np.flatnonzero((grad**2).sum(-1) > tol * tol)
+            if not live.size:
+                continue
+            u, h, new = us[live], inv[live], fresh[live]
+            val, tr, g = val[live], true[live], grad[live]
+            d = (h @ g[..., None])[..., 0]
+            slope, t = (g * d).sum(-1), np.ones(len(live))
             for _ in range(_ASCENT_STEPS if mu == _SMOOTHING[-1] else _WARM_STEPS):
                 if not live.size:
                     break
-                step = t[live, None] * d[live]
-                trial = us[live] @ self.rotations(step)
+                step = t[:, None] * d
+                trial = u @ self.rotations(step)
                 tv, tt, tg = self.smoothed(trial, mu)
-                ok = tv >= val[live] + 1e-4 * t[live] * slope[live]
-                up = live[ok]
-                inv[up] = _bfgs_update(inv[up], step[ok], grad[up] - tg[ok])
-                us[up], val[up], true[up], grad[up] = trial[ok], tv[ok], tt[ok], tg[ok]
-                d[up] = (inv[up] @ grad[up][..., None])[..., 0]
-                slope[up], t[up] = (grad[up] * d[up]).sum(-1), 1.0
-                t[live[~ok]] /= 2
-                live = live[~((slope[live] <= tol) | (t[live] < 1e-10))]
+                ok = tv >= val + 1e-4 * t * slope
+                take = _taker(ok)
+                h = take(_bfgs_update(h, step, g - tg, new), h)
+                u, val, tr, g = take(trial, u), take(tv, val), take(tt, tr), take(tg, g)
+                new &= ~ok
+                d = take((h @ g[..., None])[..., 0], d)
+                slope, t = take((g * d).sum(-1), slope), np.where(ok, 1.0, t / 2)
+                stop = (slope <= tol) | (t < 1e-10)
+                if stop.any():
+                    gone = live[stop]
+                    us[gone], inv[gone] = u[stop], h[stop]
+                    fresh[gone], true[gone] = new[stop], tr[stop]
+                    keep = ~stop
+                    live, u, h, new, val, tr, g, d, slope, t = (
+                        a[keep] for a in (live, u, h, new, val, tr, g, d, slope, t))
+            us[live], inv[live], fresh[live], true[live] = u, h, new, tr
         # the first start within tol of the best, so that ties go to U = I
         return us[np.argmax(true >= true.max() - tol)]
 
@@ -533,16 +589,18 @@ def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult
         )
     fam = invariant_family(reduced_state(rho, "A"), cfg.degeneracy_tol)
     search = _BlockSearch(rho, which, fam)
-    u = search.jacobi(cfg.tol)
-    if which != "hs" and search.rows.size:
-        rng = np.random.default_rng(cfg.seed)
-        starts = np.tile(np.eye(rho.da, dtype=complex), (2 * cfg.restarts + 2, 1, 1))
-        starts[1] = u
-        for start in starts[2:]:
-            for off, size in fam.blocks:
-                if size >= 2:
-                    start[off : off + size, off : off + size] = random_unitary(size, rng)
-        u = search.ascend(starts, cfg.tol)
+    u = np.eye(rho.da, dtype=complex)
+    if search.rows.size:
+        u = search.jacobi(cfg.tol)
+        if which != "hs":
+            rng = np.random.default_rng(cfg.seed)
+            starts = np.tile(np.eye(rho.da, dtype=complex), (2 * cfg.restarts + 2, 1, 1))
+            starts[1] = u
+            for start in starts[2:]:
+                for off, size in fam.blocks:
+                    if size >= 2:
+                        start[off : off + size, off : off + size] = random_unitary(size, rng)
+            u = search.ascend(starts, cfg.tol)
     measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
     value = search.value(u)
     if fam.kind != KIND_QUBIT_SPHERE:
@@ -684,22 +742,27 @@ def _oracle_case(rho: DensityMatrix, closed: float, cfg: OptimizerConfig) -> dic
 def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> dict:
     """The numeric trace MIN against its closed forms on seeded two-qubit states.
 
-    ``counts`` random states (ranks cycling 1..4) with |x| > 0.05 take the
-    unique branch (for a ``degeneracy_tol`` below 0.05) and are checked against ``trace_min_two_qubit``, with the
-    residual of ``_sumabs_reading`` recorded next to it;
+    ``counts`` random states (ranks cycling 1..4) with |x| above both 0.05
+    and ``cfg.degeneracy_tol`` take the unique branch and are checked
+    against ``trace_min_two_qubit``, with the residual of
+    ``_sumabs_reading`` recorded next to it;
     max(1, counts // 2) random Bell-diagonal states take the qubit sphere and
     are checked against the largest |c_i|.  The audit passes when every
-    residual is at most 1e-8.
+    residual is at most 1e-8.  Raises ``ValueError`` for a ``degeneracy_tol``
+    of 1 or more, which no two-qubit state's |x| exceeds.
     """
     if counts < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
+    if cfg.degeneracy_tol >= 1.0:
+        raise ValueError(
+            "the oracle audit needs degeneracy_tol below 1: no two-qubit state has |x| > 1")
     rng = np.random.default_rng(seed)
-    generic, attempts = [], 0
+    generic, attempts, floor = [], 0, max(0.05, cfg.degeneracy_tol)
     while len(generic) < counts:
         rho = random_density((2, 2), rank=1 + attempts % 4, seed=rng)
         attempts += 1
-        if np.linalg.norm(bloch_decompose(rho).x) > 0.05:
+        if np.linalg.norm(bloch_decompose(rho).x) > floor:
             generic.append(rho)
     triples = [random_bell_triple(rng) for _ in range(max(1, counts // 2))]
     generic_cases = []

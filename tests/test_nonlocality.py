@@ -452,6 +452,19 @@ class TestAudits:
         assert {c["method"] for c in report["sphere"]} == {METHOD_SPHERE}
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("degeneracy_tol", [0.2, 0.5, 0.9])
+    def test_oracle_audit_passes_above_the_generic_filter(self, degeneracy_tol):
+        # with |x| <= degeneracy_tol a state takes the sphere branch, so the
+        # generic ensemble must sit above the threshold too
+        report = oracle_audit(20, 42, OptimizerConfig(degeneracy_tol=degeneracy_tol))
+        assert {c["method"] for c in report["generic"]} == {METHOD_UNIQUE}
+        assert report["max_residual_unique"] <= 1e-12
+        assert report["passed"] is True
+
+    def test_oracle_audit_rejects_an_unreachable_filter(self):
+        with pytest.raises(ValueError, match="degeneracy_tol below 1"):
+            oracle_audit(2, 0, OptimizerConfig(degeneracy_tol=1.0))
+
     @pytest.mark.parametrize("audit", [relation_audit, oracle_audit])
     def test_rejects_bad_counts(self, audit):
         with pytest.raises(ValueError, match="counts"):
@@ -677,6 +690,15 @@ class TestSphereAscent:
         res = trace_min_numeric(make_bell_diagonal([0.691, -0.076, 0.209]))
         assert res.value == pytest.approx(0.691, abs=1e-12)
         assert res.iterations <= 80
+
+    def test_evaluation_ceiling(self):
+        # summed evaluations of trace and Bures over the nine states of
+        # ``_sphere_states`` at the default config, pinned so that a change
+        # cannot add steps unnoticed
+        total = sum(_NUMERIC_MIN[which](rho).iterations
+                    for seed in (0, 1, 2) for rho in _sphere_states(seed)
+                    for which in ("trace", "bures"))
+        assert total <= 2323
 
 
 class TestExactHsSphere:
@@ -1006,6 +1028,68 @@ class TestBlockBranch:
             np.testing.assert_allclose(r @ dagger(r), np.eye(2), atol=1e-15)
             expected = (np.eye(2) + np.einsum("i,imn->mn", n, PAULIS)) / 2
             np.testing.assert_allclose(np.outer(r[:, 0], r[:, 0].conj()), expected, atol=1e-15)
+
+
+def _eigh_exponential(search, x):
+    """exp(H) for the tangent coordinates x (k, p), as exp(-i w) in the
+    eigenbasis of the Hermitian iH."""
+    half = x.shape[1] // 2
+    v = (x[:, :half] + 1j * x[:, half:]) / math.sqrt(2.0)
+    h = np.zeros((len(x), search.da, search.da), dtype=complex)
+    h[:, search.rows, search.cols], h[:, search.cols, search.rows] = v, -v.conj()
+    w, q = np.linalg.eigh(1j * h)
+    return (q * np.exp(-1j * w)[:, None, :]) @ dagger(q)
+
+
+class TestRotations:
+    """The closed-form pair exponential of ``_BlockSearch.rotations``."""
+
+    @staticmethod
+    def _searches():
+        """Searches on the qubit sphere and on a 4x2 two-block family."""
+        rng = np.random.default_rng(2011)
+        cases = ((_filtered((2, 3), 3, rng), ((0, 2),)),
+                 (_split_state((4, 2), (0.3, 0.3, 0.2, 0.2), 3, rng), ((0, 2), (2, 2))))
+        out = []
+        for rho, blocks in cases:
+            fam = invariant_family(reduced_state(rho, "A"))
+            assert fam.blocks == blocks
+            out.append(_BlockSearch(rho, "trace", fam))
+        return out
+
+    def test_matches_the_eigh_exponential(self):
+        rng = np.random.default_rng(1733)
+        for search in self._searches():
+            assert search.scatter is not None
+            p = 2 * len(search.rows)
+            # theta = 0, small, order one and well past pi, per pair
+            x = np.concatenate([np.zeros((1, p)), 1e-9 * rng.standard_normal((3, p)),
+                                rng.standard_normal((8, p)), 6.0 * rng.standard_normal((8, p))])
+            u = search.rotations(x)
+            np.testing.assert_allclose(u, _eigh_exponential(search, x), rtol=0, atol=1e-14)
+            eye = np.eye(search.da)
+            np.testing.assert_allclose(u @ dagger(u), np.broadcast_to(eye, u.shape),
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(u[0], eye)
+
+    def test_larger_blocks_keep_the_eigh_path(self):
+        rho = _reference_states()[0]
+        search = _BlockSearch(rho, "trace", invariant_family(reduced_state(rho, "A")))
+        assert search.scatter is None
+        x = np.random.default_rng(5).standard_normal((4, 2 * len(search.rows)))
+        np.testing.assert_allclose(search.rotations(x), _eigh_exponential(search, x),
+                                   rtol=0, atol=1e-14)
+
+    def test_nondegenerate_marginal_builds_no_ascent_constants(self):
+        rho = random_density((2, 2), 3, np.random.default_rng(2014))
+        fam = invariant_family(reduced_state(rho, "A"))
+        assert fam.kind == "unique"
+        search = _BlockSearch(rho, "trace", fam)
+        assert search.scatter is None and not hasattr(search, "flat_eye")
+        # the value at U = I is the only evaluation
+        for which in ("trace", "hs", "bures"):
+            res = _NUMERIC_MIN[which](rho)
+            assert (res.method, res.iterations) == (METHOD_UNIQUE, 1)
 
 
 def _support_fidelity(rho, post):
