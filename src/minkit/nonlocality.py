@@ -78,7 +78,10 @@ class OptimizerConfig:
     gains at most ``tol``; ``restarts`` and ``seed`` do not apply to it.
     Trace and Bures MIN ascend from the identity, the HS optimum and
     2 * ``restarts`` Haar block unitaries drawn from ``seed``; a start
-    stops once its predicted gain is at most ``tol``.
+    stops once its predicted gain is at most ``tol``, and its step grows
+    while it sees no positive curvature (``_BlockSearch.ascend``).  The
+    result is the first start within ``tol`` of the best, so that ties go
+    to the identity; its value can sit up to ``tol`` below the best start's.
     """
 
     restarts: int = 4
@@ -94,6 +97,8 @@ class OptimizerConfig:
             raise ValueError("tol must be positive and finite")
         if not 0 <= self.degeneracy_tol < math.inf:
             raise ValueError("degeneracy_tol must be finite and >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -319,10 +324,13 @@ def _canonical_axis(axis: np.ndarray) -> np.ndarray:
 
 # Smoothing widths of the block ascent, one stage each; the cap on the
 # steps of the last stage, and of each stage before it, which only
-# warm-starts the next one; the cap on Jacobi sweeps.
+# warm-starts the next one; the factor by which the ascent lengthens its
+# step after an accepted step that shows no positive curvature; the cap on
+# Jacobi sweeps.
 _SMOOTHING = (1e-3, 1e-6, 1e-9)
 _ASCENT_STEPS = 500
 _WARM_STEPS = 40
+_STRETCH = 4.0
 _JACOBI_SWEEPS = 100
 
 
@@ -345,12 +353,14 @@ def _pair_rotation(n: np.ndarray) -> np.ndarray:
     return np.array([[c, -s.conjugate()], [s, c]])
 
 
-def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray,
+                 fresh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """BFGS update of inverse-Hessian estimates (k, p, p) by steps ``s`` and
-    gradient changes ``y``; a pair without positive curvature (s.y at most
-    1e-16 |s| |y|, compared squared) is skipped.  A ``fresh`` estimate, still
-    the identity, is first scaled by s.y / y.y (Shanno and Phua), so that
-    its size matches the curvature seen along the first step."""
+    gradient changes ``y``, and the mask (k,) of the pairs it took.  A pair
+    without positive curvature (s.y at most 1e-16 |s| |y|, compared squared)
+    is skipped.  A ``fresh`` estimate, still the identity, is first scaled by
+    s.y / y.y (Shanno and Phua), so that its size matches the curvature seen
+    along the first step."""
     sy, yy = (s * y).sum(-1), (y * y).sum(-1)
     curved = (sy > 0.0) & (sy * sy > 1e-32 * (s * s).sum(-1) * yy)
     r = curved / np.where(curved, sy, 1.0)
@@ -361,7 +371,7 @@ def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray, fresh: np.ndarra
     rs, hy = r[:, None] * s, (inv @ y[..., None])[..., 0]
     cross = hy[:, :, None] * rs[:, None, :]
     ss = ((1.0 + r * (y * hy).sum(-1))[:, None] * rs)[:, :, None] * s[:, None, :]
-    return inv + ss - cross - np.swapaxes(cross, -1, -2)
+    return inv + ss - cross - np.swapaxes(cross, -1, -2), curved
 
 
 def _taker(ok: np.ndarray):
@@ -525,15 +535,23 @@ class _BlockSearch:
         One stage per smoothing width in ``_SMOOTHING``, of at most
         ``_WARM_STEPS`` steps before the last and ``_ASCENT_STEPS`` in it.
         Each step tries U exp(t H) with H = (BFGS inverse Hessian) x
-        gradient: an Armijo success takes it and resets t to 1, a failure
-        halves t.  The inverse Hessian starts as I and carries over from
+        gradient: an Armijo success takes it, a failure halves t.  After a
+        success t resets to 1, unless the step showed no positive curvature
+        (s.y <= 0 with y = g - g_trial, a pair that ``_bfgs_update`` skips):
+        then the estimate has learned nothing, and t grows by ``_STRETCH``,
+        so that a start on a flat or saddle-like patch does not creep at one
+        short step.  The inverse Hessian starts as I and carries over from
         stage to stage; a start's first accepted step scales it by s.y / y.y
-        before the update (``_bfgs_update``).  A start stops once its
-        predicted gain g.H is at most ``tol``, whether or not its last trial
-        succeeded, or once t falls to 1e-10; a start with zero gradient
-        stops at once.  Within a stage the arrays hold the live starts only,
-        updated with ``np.where``; a start's U, value and estimate are
-        written back to the full stack when it stops or the stage ends.
+        before the update.  A start stops once its predicted gain g.H is at
+        most ``tol``, whether or not its last trial succeeded, or once t
+        falls to 1e-10; a start with zero gradient stops at once.  Within a
+        stage the arrays hold the live starts only, updated with
+        ``np.where``; a start's U, value and estimate are written back to
+        the full stack when it stops or the stage ends.
+
+        The U returned is that of the first start whose true value is
+        within ``tol`` of the best start's, so that ties go to U = I; its
+        value can therefore sit up to ``tol`` below the best start's.
         """
         k, p = len(us), 2 * len(self.rows)
         inv, fresh = np.tile(np.eye(p), (k, 1, 1)), np.ones(k, dtype=bool)
@@ -554,11 +572,13 @@ class _BlockSearch:
                 tv, tt, tg = self.smoothed(trial, mu)
                 ok = tv >= val + 1e-4 * t * slope
                 take = _taker(ok)
-                h = take(_bfgs_update(h, step, g - tg, new), h)
+                updated, curved = _bfgs_update(h, step, g - tg, new)
+                h = take(updated, h)
                 u, val, tr, g = take(trial, u), take(tv, val), take(tt, tr), take(tg, g)
                 new &= ~ok
                 d = take((h @ g[..., None])[..., 0], d)
-                slope, t = take((g * d).sum(-1), slope), np.where(ok, 1.0, t / 2)
+                slope = take((g * d).sum(-1), slope)
+                t = np.where(ok, np.where(curved, 1.0, _STRETCH * t), t / 2)
                 stop = (slope <= tol) | (t < 1e-10)
                 if stop.any():
                     gone = live[stop]

@@ -108,6 +108,11 @@ class TestCompute:
             assert main(["compute", str(bd), "--method", "numeric", "--tol", bad]) == 2
             assert main(["compute", str(bd), "--method", "numeric", "--degeneracy-tol", bad]) == 2
         capsys.readouterr()
+        for argv in (["compute", str(bd), "--seed", "-1"],
+                     ["compute", str(bd), "--method", "numeric", "--seed=-3"],
+                     ["audit", "--kind", "oracle", "--counts", "2", "--seed", "-1"]):
+            assert main(argv) == 2
+            assert "seed must be >= 0" in capsys.readouterr().err
 
         negdims = tmp_path / "negdims.json"
         m = np.eye(4) / 4
