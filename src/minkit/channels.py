@@ -13,14 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULIS, _local_action, dagger, tensor_product
-from .nonlocality import OptimizerConfig, _bell_diagonal_value, trace_min_numeric
+from .nonlocality import OptimizerConfig, _bell_diagonal_value, _optimize
 from .states import (
     DensityMatrix,
     StateInvariantError,
+    _ginibre_density,
     bell_diagonal_weights,
     in_tetrahedron,
     make_bell_diagonal,
-    random_density,
     validate,
 )
 
@@ -286,30 +286,39 @@ def monotonicity_audit(
     states (ranks cycling 1..4) and random CPTP channels on B (Kraus counts
     cycling 1..4), and records any increase beyond ``MONOTONICITY_TOL``.  A
     correct implementation reports zero violations, and the audit passes.
+    The states are validated in one call, each channel acts on all of them
+    in one ``_local_action`` call, the outputs are validated in one call,
+    and the values before and after take one ``_optimize`` call each; every
+    value is bitwise the one-state one.
     """
     if n_states < 1 or n_channels < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(seed)
-    states = [random_density((2, 2), rank=1 + (i % 4), seed=rng) for i in range(n_states)]
+    # the draws of random_density((2, 2), 1 + i % 4, rng), validated at once
+    mats = np.array([_ginibre_density(4, 1 + i % 4, rng) for i in range(n_states)])
+    states = validate(mats, (2, 2))
     channels = [random_channel(2, 1 + (j % 4), rng) for j in range(n_channels)]
-    befores = [trace_min_numeric(s, cfg).value for s in states]
+    # (state, channel) pairs in state-major order, the order of the cases
+    outputs = np.stack([_local_action(mats, ch.ops, (2, 2), "B") for ch in channels], axis=1)
+    befores = [r.value for r in _optimize(states, cfg, "trace")]
+    afters = [r.value for r in _optimize(validate(outputs.reshape(-1, 4, 4), (2, 2)), cfg, "trace")]
     cases = []
-    for i, (state, before) in enumerate(zip(states, befores)):
-        for ch in channels:
-            after = trace_min_numeric(apply_channel_b(state, ch), cfg).value
-            increase = after - before
-            cases.append(
-                {
-                    "state": i,
-                    "channel": ch.label,
-                    "before": before,
-                    "after": after,
-                    "increase": increase,
-                    "tolerance": MONOTONICITY_TOL,
-                    "violation": bool(increase > MONOTONICITY_TOL),
-                }
-            )
+    for k, after in enumerate(afters):
+        i, ch = divmod(k, n_channels)
+        before = befores[i]
+        increase = after - before
+        cases.append(
+            {
+                "state": i,
+                "channel": channels[ch].label,
+                "before": before,
+                "after": after,
+                "increase": increase,
+                "tolerance": MONOTONICITY_TOL,
+                "violation": bool(increase > MONOTONICITY_TOL),
+            }
+        )
     violations = [c for c in cases if c["violation"]]
     return {
         "pairs": len(cases),

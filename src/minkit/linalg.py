@@ -34,7 +34,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Entrywise Hermiticity check with tolerance ``tol``."""
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+    return bool(np.abs(m - dagger(m)).max() <= tol)
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -42,31 +42,36 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _local_action(mat: np.ndarray, ops, dims: tuple[int, int], party: str) -> np.ndarray:
+def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
     """Sum_k (K_k x I) mat (K_k x I)^dag (party "A") or (I x K_k) ... (party "B").
 
     ``ops`` is a stack (k, d, d) of operators on that party, or a batch of
-    stacks (N, k, d, d), which gives N outputs.  Works on the
+    stacks (N, k, d, d), which gives N outputs.  ``mat`` is one matrix or a
+    stack (N, n, n), which gives N outputs under the same operators; each
+    output is bitwise the one that matrix gives alone.  Works on the
     (dA, dB, dA, dB) reshape of ``mat``: the left factor is one matrix
     product for the whole batch, the right factor one ``einsum``; no
     operator is lifted to the full space.
     """
     da, db = dims
     n = da * db
-    ops = np.asarray(ops)
-    lead = ops.shape[:-2]
+    mat, ops = np.asarray(mat), np.asarray(ops)
+    stack, lead = mat.shape[:-2], ops.shape[:-2]
+    if stack and len(lead) > 1:
+        raise ValueError("a stack of matrices takes one operator stack, not a batch")
     if party == "A":
         # left[..., k, a, b, d, e] = sum_c K[a, c] mat[(c, b), (d, e)]
-        left = (ops.reshape(-1, da) @ mat.reshape(da, db * n)).reshape(lead + (n, da, db))
+        left = ops.reshape(-1, da) @ mat.reshape(stack + (da, db * n))
+        left = left.reshape(stack + lead + (n, da, db))
         out = np.einsum("...kfd,...kxde->...xfe", ops.conj(), left)
     elif party == "B":
         # left[..., k, b, a, (d, e)] = sum_c K[b, c] mat[(a, c), (d, e)]
-        rows = mat.reshape(da, db, n).transpose(1, 0, 2).reshape(db, da * n)
-        left = (ops.reshape(-1, db) @ rows).reshape(lead + (db, da, da, db))
+        rows = np.swapaxes(mat.reshape(stack + (da, db, n)), -3, -2).reshape(stack + (db, da * n))
+        left = (ops.reshape(-1, db) @ rows).reshape(stack + lead + (db, da, da, db))
         out = np.einsum("...kbade,...kfe->...abdf", left, ops.conj())
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return out.reshape(lead[:-1] + (n, n))
+    return out.reshape(stack + lead[:-1] + (n, n))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
@@ -75,7 +80,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarra
     Parameters
     ----------
     m : ndarray
-        Square operator of dimension ``dims[0] * dims[1]``.
+        Square operator of dimension ``dims[0] * dims[1]``, or a stack
+        (N, n, n) of them, which gives a stack of N results.
     dims : (dA, dB)
         Subsystem dimensions.
     party : "A" | "B"
@@ -83,13 +89,13 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarra
         operator, tracing "B" a dA x dA one.
     """
     da, db = dims
-    if m.shape != (da * db, da * db):
+    if m.shape[-2:] != (da * db, da * db) or m.ndim > 3:
         raise ValueError(f"operator shape {m.shape} incompatible with dims {dims}")
-    t = m.reshape(da, db, da, db)
+    t = m.reshape(m.shape[:-2] + (da, db, da, db))
     if party == "A":
-        return np.einsum("abad->bd", t)
+        return np.einsum("...abad->...bd", t)
     if party == "B":
-        return np.einsum("abcb->ac", t)
+        return np.einsum("...abcb->...ac", t)
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
@@ -126,16 +132,23 @@ class HermEig:
 def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
-    Raises ``ValueError`` if ``m`` is not Hermitian within ``tol`` per entry.
+    A stack (N, n, n) gives stacked eigenvalues (N, n) and eigenvectors
+    (N, n, n) in one ``eigh`` call, each matrix's bitwise what it gives
+    alone.  Raises ``ValueError`` if any matrix is not Hermitian within
+    ``tol`` per entry.
     """
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
-    w, v = w[::-1].copy(), v[:, ::-1]
+    w, v = w[..., ::-1].copy(), v[..., ::-1]
     # first component above 1e-8 of each column; a unit vector always has one
-    lead = np.argmax(np.abs(v) > 1e-8, axis=0)
-    phase = np.array([v[i, k] / abs(v[i, k]) for k, i in enumerate(lead)])
-    return HermEig(eigenvalues=w, eigenvectors=v / phase)
+    lead = (np.abs(v) > 1e-8).argmax(axis=-2)
+    # column by column, as numpy scalars: the array division of a complex by
+    # its real modulus can differ from the scalar one in the last bit
+    cols = v.swapaxes(-1, -2).reshape(-1, v.shape[-1])
+    heads = cols[np.arange(len(cols)), lead.ravel()]
+    phase = np.array([h / abs(h) for h in heads]).reshape(lead.shape)
+    return HermEig(eigenvalues=w, eigenvectors=v / phase[..., None, :])
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

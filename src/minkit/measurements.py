@@ -7,6 +7,7 @@ the measurements that leave a given reduced state fixed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,26 +120,47 @@ class MeasurementFamily:
         for off, size in self.blocks:
             if size >= 2:
                 cols[:, off : off + size] = cols[:, off : off + size] @ next(it)
-        return LocalMeasurement(projectors=tuple(cols.T[:, :, None] * cols.T.conj()[:, None, :]))
+        return LocalMeasurement(projectors=tuple(_rank_one_projectors(cols)))
 
 
-def invariant_family(rho_a: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> MeasurementFamily:
+def _rank_one_projectors(cols: np.ndarray) -> np.ndarray:
+    """The projectors (..., d, d, d) on the columns of a basis (..., d, d) or of each in a stack."""
+    rows = cols.swapaxes(-1, -2)
+    return rows[..., :, :, None] * rows.conj()[..., :, None, :]
+
+
+def invariant_family(
+    rho_a: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL
+) -> MeasurementFamily | list[MeasurementFamily]:
     """Enumerate the invariant rank-1 measurements of a reduced state.
 
     Eigenvalues closer than ``degeneracy_tol`` are grouped into one block;
     near-degenerate spectra are deliberately treated as degenerate because
     the induced measurement (and the nonlocality value) is discontinuous
-    across the gap closing.
+    across the gap closing.  A stack (N, dA, dA) of reduced states takes one
+    ``hermitian_eig`` call and gives a list of N families.
     """
     eig = hermitian_eig(rho_a)
-    w = eig.eigenvalues
-    blocks: list[tuple[int, int]] = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k - 1] - w[k] > degeneracy_tol:
-            blocks.append((start, k - start))
-            start = k
-    kind = KIND_QUBIT_SPHERE if len(w) == 2 else KIND_BLOCK
-    if len(blocks) == len(w):  # every block has size 1
-        kind = KIND_UNIQUE
-    return MeasurementFamily(kind=kind, basis=eig.eigenvectors, blocks=tuple(blocks))
+    # where each descending spectrum has a gap wider than the tolerance
+    gaps = (eig.eigenvalues[..., :-1] - eig.eigenvalues[..., 1:] > degeneracy_tol).tolist()
+    if eig.eigenvalues.ndim == 1:
+        return _family(tuple(gaps), eig.eigenvectors)
+    return [_family(tuple(g), v) for g, v in zip(gaps, eig.eigenvectors)]
+
+
+def _family(gaps: tuple[bool, ...], basis: np.ndarray) -> MeasurementFamily:
+    """The family of the eigenbasis ``basis`` whose spectrum has ``gaps``."""
+    kind, blocks = _blocks(gaps)
+    return MeasurementFamily(kind=kind, basis=basis, blocks=blocks)
+
+
+@functools.lru_cache(maxsize=256)
+def _blocks(gaps: tuple[bool, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
+    """Kind and blocks of a family whose spectrum has a gap after eigenvalue
+    k exactly where ``gaps[k]``."""
+    d = len(gaps) + 1
+    starts = [0] + [k + 1 for k, gap in enumerate(gaps) if gap] + [d]
+    blocks = tuple((a, b - a) for a, b in zip(starts, starts[1:]))
+    if len(blocks) == d:  # every block has size 1
+        return KIND_UNIQUE, blocks
+    return (KIND_QUBIT_SPHERE if d == 2 else KIND_BLOCK), blocks

@@ -18,17 +18,20 @@ each other on seeded ensembles.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, random_unitary
+from .linalg import PAULIS, _local_action, dagger, partial_trace
 from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
     LocalMeasurement,
     MeasurementFamily,
+    _rank_one_projectors,
     invariant_family,
 )
 from .states import (
@@ -44,7 +47,6 @@ from .states import (
     random_bell_triple,
     random_density,
     random_pure,
-    reduced_state,
 )
 
 # Practical bound on dA * dB for the numeric optimizers.
@@ -90,6 +92,11 @@ class OptimizerConfig:
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("restarts", "seed"):
+            try:  # takes int and numpy integers, refuses floats
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer") from None
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         # a negated range test, so that NaN fails it too
@@ -382,39 +389,62 @@ def _taker(ok: np.ndarray):
     return lambda new, old: np.where(ok.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
 
+@functools.lru_cache(maxsize=None)
+def _value_mask(da: int, bures: bool) -> np.ndarray:
+    """The A blocks of rho~ that the value reads, as a (dA, 1, dA, 1) mask: the
+    off-diagonal ones (rho~ - D(rho~)) for trace and HS, the diagonal ones
+    (D(rho~)) for Bures.  One read-only constant per (dA, measure)."""
+    diag = np.eye(da)[:, None, :, None]
+    mask = diag if bures else 1.0 - diag
+    mask.flags.writeable = False
+    return mask
+
+
 class _BlockSearch:
-    """One measure of rho over its invariant family, in the eigenbasis frame of rho_A.
+    """One measure over the invariant families of a stack of states, each in
+    the eigenbasis frame of its rho_A.
 
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
     (2(1 - sqrt(fidelity))).  A point is a unitary U (dA x dA) acting inside
     the degenerate blocks; it stands for the measurement on the columns of
     ``fam.basis @ U``.  With rho~ = (U^dag x I) rho (U x I) in that frame,
     the post-measurement state is D(rho~), the diagonal A blocks of rho~.
-    A nondegenerate marginal has no free parameter and U = I.  Every method
-    takes a stack (k, dA, dA) of U's and counts its evaluations in ``evals``.
-    Bures is taken on the support of rho, where rho = W W^dag: the roots of
-    round-off eigenvalues outside it would leave 1e-8 of noise.
+
+    The families share their blocks.  A stack of states with nondegenerate
+    marginals has no free parameter: ``values()`` evaluates each at U = I,
+    all in one spectral call, and nothing else applies.  A family with a
+    free parameter is searched one state at a time: every other method
+    takes a stack (k, dA, dA) of U's of that state.  Evaluations are
+    counted in ``evals``.  Bures is taken on the support of rho, where
+    rho = W W^dag: the roots of round-off eigenvalues outside it would
+    leave 1e-8 of noise.
     """
 
-    def __init__(self, rho: DensityMatrix, which: str, fam: MeasurementFamily):
-        self.which, self.dims, self.da, self.evals = which, rho.dims, rho.da, 0
-        # V x I for the eigenbasis V of rho_A
-        lift = np.einsum("ac,bd->abcd", fam.basis, np.eye(rho.db)).reshape(rho.mat.shape)
-        self.rho = dagger(lift) @ rho.mat @ lift
+    def __init__(self, mats: np.ndarray, dims: tuple[int, int], which: str,
+                 bases: np.ndarray, blocks: tuple[tuple[int, int], ...]):
+        self.which, self.dims, self.da, self.evals = which, dims, dims[0], 0
+        # V x I for the eigenbasis V of each rho_A
+        lift = np.einsum("nac,bd->nabcd", bases, np.eye(dims[1])).reshape(mats.shape)
+        self.rho = dagger(lift) @ mats @ lift
+        self.mask = _value_mask(self.da, which == "bures")
         if which == "bures":
-            w, v = np.linalg.eigh(rho.mat)
-            keep = w > _SUPPORT_TOL * w[-1]
-            self.factor = dagger(lift) @ (v[:, keep] * np.sqrt(w[keep]))
-        # tangent coordinates: real and imaginary parts of H_ij, i < j in a block
-        self.pairs = [[off + i, off + j] for off, size in fam.blocks
-                      for i in range(size) for j in range(i + 1, size)]
-        self.rows, self.cols = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        # the A blocks of rho~ that the value reads: the off-diagonal ones
-        # (rho~ - D(rho~)) for trace and HS, the diagonal ones (D(rho~)) for Bures
-        diag = np.eye(self.da)[:, None, :, None]
-        self.mask = diag if which == "bures" else 1.0 - diag
+            w, v = np.linalg.eigh(mats)
+            # the support is the top ``rank`` eigenvectors; W in the frame,
+            # one stack (m, n, rank) per rank with the states it holds
+            ranks = (w > _SUPPORT_TOL * w[:, -1:]).sum(-1)
+            self.supports, kinds = [], sorted(set(ranks.tolist()))
+            for rank in kinds:
+                idx = slice(None) if len(kinds) == 1 else np.flatnonzero(ranks == rank)
+                roots = v[idx][..., -rank:] * np.sqrt(w[idx][:, None, -rank:])
+                self.supports.append((idx, dagger(lift[idx]) @ roots))
         self.scatter = None
-        if self.rows.size and max(size for _, size in fam.blocks) == 2:
+        if len(blocks) == self.da:  # every block has size 1: no free parameter
+            return
+        # tangent coordinates: real and imaginary parts of H_ij, i < j in a block
+        self.pairs = [[off + i, off + j] for off, size in blocks
+                      for i in range(size) for j in range(i + 1, size)]
+        self.rows, self.cols = np.array(self.pairs, dtype=int).T
+        if max(size for _, size in blocks) == 2:
             # flat positions of each pair's two diagonal and two off-diagonal
             # entries in a dA x dA matrix, and I flattened, for ``rotations``
             r, c = self.rows * self.da, self.cols * self.da
@@ -423,32 +453,48 @@ class _BlockSearch:
             self.flat_eye = np.eye(self.da, dtype=complex).ravel()
 
     def frames(self, us: np.ndarray) -> np.ndarray:
-        """rho~ for each U, shaped (k, dA, dB, dA, dB)."""
+        """rho~ of the one state for each U, shaped (k, dA, dB, dA, dB)."""
         self.evals += len(us)
-        if not self.rows.size:  # no free parameter: U = I and rho~ is the lifted frame
-            return self.rho.reshape((1,) + self.dims * 2).repeat(len(us), axis=0)
-        out = _local_action(self.rho, dagger(us)[:, None], self.dims, "A")
+        out = _local_action(self.rho[0], dagger(us)[:, None], self.dims, "A")
         return out.reshape((len(us),) + self.dims * 2)
 
-    def _spectral(self, us: np.ndarray, rt: np.ndarray):
-        """The matrix whose eigenvalues give the value of each U, and W~: rho~ - D(rho~)
-        for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W for Bures."""
-        k, n = len(us), self.rho.shape[0]
+    def _spectral(self, us: np.ndarray, rt: np.ndarray, factor: np.ndarray | None = None):
+        """The matrix whose eigenvalues give the value of each frame, and W~:
+        rho~ - D(rho~) for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W
+        for Bures.  ``factor`` is W in the frame (m, n, rank), the one
+        state's by default; ``us`` broadcasts against it."""
+        k, n = len(rt), self.rho.shape[-1]
         if self.which == "trace":
             return (rt * self.mask).reshape(k, n, n), None
-        wt = (dagger(us) @ self.factor.reshape(self.da, -1)).reshape(k, n, -1)
+        if factor is None:
+            factor = self.supports[0][1]
+        wt = (dagger(us) @ factor.reshape(len(factor), self.da, -1)).reshape(k, n, -1)
         return dagger(wt) @ (rt * self.mask).reshape(k, n, n) @ wt, wt
 
-    def value(self, u: np.ndarray) -> float:
-        """The measure at one U, from the spectrum that ``smoothed`` uses."""
-        rt = self.frames(u[None])
+    def values(self, us: np.ndarray | None = None) -> np.ndarray:
+        """The measure at each U of the one state, from the spectrum that
+        ``smoothed`` uses; with ``us`` None, that of each state at U = I."""
+        if us is None:
+            self.evals += len(self.rho)
+            rt = self.rho.reshape(self.rho.shape[:1] + self.dims * 2)
+        else:
+            rt = self.frames(us)
         if self.which == "hs":
-            return float((np.abs(rt * self.mask) ** 2).sum())
-        w = np.linalg.eigvalsh(self._spectral(u[None], rt)[0])[0]
+            return (np.abs(rt * self.mask) ** 2).reshape(len(rt), -1).sum(-1)
         if self.which == "trace":
-            return float(np.abs(w).sum())
-        fid = min(max(float(np.sqrt(np.clip(w, 0.0, None)).sum()) ** 2, 0.0), 1.0)
-        return 2.0 * (1.0 - math.sqrt(fid))
+            return np.abs(np.linalg.eigvalsh(self._spectral(us, rt)[0])).sum(-1)
+        if us is None:
+            us = np.eye(self.da, dtype=complex)[None]
+        out = np.empty(len(rt))
+        for idx, factor in self.supports:
+            c = np.linalg.eigvalsh(self._spectral(us, rt[idx], factor)[0])
+            fid = np.minimum(np.sqrt(np.maximum(c, 0.0)).sum(-1) ** 2, 1.0)
+            out[idx] = 2.0 * (1.0 - np.sqrt(fid))
+        return out
+
+    def value(self, u: np.ndarray) -> float:
+        """The measure of the one state at one U."""
+        return float(self.values(u[None])[0])
 
     def jacobi(self, tol: float) -> np.ndarray:
         """HS optimum by Jacobi sweeps from the identity.
@@ -592,40 +638,83 @@ class _BlockSearch:
         return us[np.argmax(true >= true.max() - tol)]
 
 
-def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult:
-    """Maximize over the block unitaries of rho_A's invariant family.
+def _haar_starts(blocks, da: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` block-diagonal Haar unitaries (count, dA, dA), I on blocks of size 1.
 
-    HS is the Jacobi optimum from the identity.  Trace and Bures ascend
-    from the identity, the HS optimum and 2 ``cfg.restarts`` Haar block
-    unitaries drawn from ``cfg.seed``.  A nondegenerate marginal is the case
-    with no free parameter: no Jacobi pair, no start and no ascent, only the
-    identity.  The value is evaluated once more at the returned U.  On the
-    qubit sphere (dA = 2) the result also carries the Bloch axis of the
-    first projector, by ``_canonical_axis``.
+    The draws are those of ``random_unitary`` start by start, then block by
+    block (the real, then the imaginary part of each Ginibre matrix), taken
+    in one ``standard_normal`` call; each block size takes one stacked QR.
     """
-    if rho.da * rho.db > DIM_LIMIT:
+    free = [(off, size) for off, size in blocks if size >= 2]
+    at = np.cumsum([0] + [2 * size * size for _, size in free])
+    draws = rng.standard_normal((count, at[-1]))
+    out = np.tile(np.eye(da, dtype=complex), (count, 1, 1))
+    for size in sorted({size for _, size in free}):
+        picks = [(off, a) for (off, s), a in zip(free, at) if s == size]
+        sq = size * size
+        g = np.stack([draws[:, a : a + sq] + 1j * draws[:, a + sq : a + 2 * sq] for _, a in picks],
+                     axis=1).reshape(count, len(picks), size, size)
+        q, r = np.linalg.qr(g)
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (d / np.abs(d))[..., None, :]
+        for j, (off, _) in enumerate(picks):
+            out[:, off : off + size, off : off + size] = q[:, j]
+    return out
+
+
+def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> list[MinResult]:
+    """Maximize over the block unitaries of each rho_A's invariant family.
+
+    ``rhos`` share their dims; one ``MinResult`` per state comes back, in
+    order, each bitwise what the state gives alone.  One partial trace and
+    one ``hermitian_eig`` over the stack give the marginals' families.  A
+    nondegenerate marginal is the case with no free parameter: no Jacobi
+    pair, no start and no ascent, only the identity, and all such states
+    are evaluated together by one ``_BlockSearch``.  Each other state is
+    searched alone: HS is the Jacobi optimum from the identity; trace and
+    Bures ascend from the identity, the HS optimum and 2 ``cfg.restarts``
+    Haar block unitaries drawn from ``cfg.seed``, and the value is evaluated
+    once more at the returned U.  On the qubit sphere (dA = 2) the result
+    also carries the Bloch axis of the first projector, by
+    ``_canonical_axis``.
+    """
+    dims = rhos[0].dims
+    if any(rho.dims != dims for rho in rhos):
+        raise ValueError("the states of one call must share their dims")
+    if dims[0] * dims[1] > DIM_LIMIT:
         raise DimensionLimitError(
-            f"state dimension {rho.da * rho.db} exceeds the numeric bound {DIM_LIMIT}"
+            f"state dimension {dims[0] * dims[1]} exceeds the numeric bound {DIM_LIMIT}"
         )
-    fam = invariant_family(reduced_state(rho, "A"), cfg.degeneracy_tol)
-    search = _BlockSearch(rho, which, fam)
-    u = np.eye(rho.da, dtype=complex)
-    if search.rows.size:
-        u = search.jacobi(cfg.tol)
-        if which != "hs":
-            rng = np.random.default_rng(cfg.seed)
-            starts = np.tile(np.eye(rho.da, dtype=complex), (2 * cfg.restarts + 2, 1, 1))
-            starts[1] = u
-            for start in starts[2:]:
-                for off, size in fam.blocks:
-                    if size >= 2:
-                        start[off : off + size, off : off + size] = random_unitary(size, rng)
-            u = search.ascend(starts, cfg.tol)
+    mats = np.array([rho.mat for rho in rhos])
+    fams = invariant_family(partial_trace(mats, dims, "B"), cfg.degeneracy_tol)
+    results: list = [None] * len(rhos)
+    unique = [i for i, fam in enumerate(fams) if fam.kind == KIND_UNIQUE]
+    if unique:
+        bases = np.array([fams[i].basis for i in unique])
+        stack = mats if len(unique) == len(rhos) else mats[unique]
+        search = _BlockSearch(stack, dims, which, bases, fams[unique[0]].blocks)
+        for i, value, ps in zip(unique, search.values().tolist(), _rank_one_projectors(bases)):
+            results[i] = MinResult(value, METHOD_UNIQUE, LocalMeasurement(tuple(ps)), iterations=1)
+    for i, fam in enumerate(fams):
+        if fam.kind != KIND_UNIQUE:
+            results[i] = _search_family(mats[i], dims, cfg, which, fam)
+    return results
+
+
+def _search_family(mat: np.ndarray, dims: tuple[int, int], cfg: OptimizerConfig, which: str,
+                   fam: MeasurementFamily) -> MinResult:
+    """The maximum of one state over a family with a free parameter."""
+    search = _BlockSearch(mat[None], dims, which, fam.basis[None], fam.blocks)
+    u = search.jacobi(cfg.tol)
+    if which != "hs":
+        rng = np.random.default_rng(cfg.seed)
+        starts = np.concatenate([np.eye(dims[0], dtype=complex)[None], u[None],
+                                 _haar_starts(fam.blocks, dims[0], 2 * cfg.restarts, rng)])
+        u = search.ascend(starts, cfg.tol)
     measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
     value = search.value(u)
     if fam.kind != KIND_QUBIT_SPHERE:
-        method = METHOD_UNIQUE if fam.kind == KIND_UNIQUE else METHOD_BLOCK
-        return MinResult(value, method, measurement, iterations=search.evals)
+        return MinResult(value, METHOD_BLOCK, measurement, iterations=search.evals)
     p = measurement.projectors[0]
     # + 0.0 turns the -0.0 of a negated zero into 0.0
     axis = np.array([2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]) + 0.0
@@ -634,17 +723,17 @@ def _optimize(rho: DensityMatrix, cfg: OptimizerConfig, which: str) -> MinResult
 
 def trace_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:
     """Maximize the trace-norm disturbance over invariant measurements."""
-    return _optimize(rho, cfg or OptimizerConfig(), "trace")
+    return _optimize([rho], cfg or OptimizerConfig(), "trace")[0]
 
 
 def hs_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:
     """Maximize the squared HS-norm disturbance over invariant measurements."""
-    return _optimize(rho, cfg or OptimizerConfig(), "hs")
+    return _optimize([rho], cfg or OptimizerConfig(), "hs")[0]
 
 
 def bures_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:
     """Maximize the Bures disturbance ``2(1 - sqrt(F))`` over invariant measurements."""
-    return _optimize(rho, cfg or OptimizerConfig(), "bures")
+    return _optimize([rho], cfg or OptimizerConfig(), "bures")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +837,8 @@ def _sumabs_reading(rho: DensityMatrix) -> float:
     return (math.sqrt(max(chi_p, 0.0)) + math.sqrt(max(chi_m, 0.0))) / (2.0 * xn)
 
 
-def _oracle_case(rho: DensityMatrix, closed: float, cfg: OptimizerConfig) -> dict:
-    """A closed trace MIN against the numeric one of ``rho``."""
-    numeric = trace_min_numeric(rho, cfg)
+def _oracle_case(closed: float, numeric: MinResult) -> dict:
+    """A closed trace MIN against a numeric one."""
     return {
         "closed": closed,
         "numeric": numeric.value,
@@ -763,11 +851,12 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
     """The numeric trace MIN against its closed forms on seeded two-qubit states.
 
     ``counts`` random states (ranks cycling 1..4) with |x| above both 0.05
-    and ``cfg.degeneracy_tol`` take the unique branch and are checked
-    against ``trace_min_two_qubit``, with the residual of
-    ``_sumabs_reading`` recorded next to it;
-    max(1, counts // 2) random Bell-diagonal states take the qubit sphere and
-    are checked against the largest |c_i|.  The audit passes when every
+    and ``cfg.degeneracy_tol`` take the unique branch, all in one
+    ``_optimize`` call, and are checked against ``trace_min_two_qubit``,
+    with the residual of ``_sumabs_reading`` recorded next to it;
+    max(1, counts // 2) random Bell-diagonal states take the qubit sphere,
+    one ``trace_min_numeric`` call each, and are checked against the
+    largest |c_i|.  The audit passes when every
     residual is at most 1e-8.  Raises ``ValueError`` for a ``degeneracy_tol``
     of 1 or more, which no two-qubit state's |x| exceeds.
     """
@@ -786,12 +875,13 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
             generic.append(rho)
     triples = [random_bell_triple(rng) for _ in range(max(1, counts // 2))]
     generic_cases = []
-    for rho in generic:
-        case = _oracle_case(rho, trace_min_two_qubit(rho).value, cfg)
+    for rho, numeric in zip(generic, _optimize(generic, cfg, "trace")):
+        case = _oracle_case(trace_min_two_qubit(rho).value, numeric)
         case["residual_sumabs_reading"] = abs(_sumabs_reading(rho) - case["numeric"])
         generic_cases.append(case)
     sphere_cases = [
-        _oracle_case(make_bell_diagonal(c), float(np.abs(c).max()), cfg) for c in triples
+        _oracle_case(float(np.abs(c).max()), trace_min_numeric(make_bell_diagonal(c), cfg))
+        for c in triples
     ]
     max_generic = max(c["residual"] for c in generic_cases)
     max_sphere = max(c["residual"] for c in sphere_cases)

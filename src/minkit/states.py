@@ -86,20 +86,40 @@ class BlochForm:
     c: np.ndarray
 
 
-def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
+def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix | list[DensityMatrix]:
     """Check density-matrix invariants and wrap the matrix.
 
     Raises ``StateInvariantError`` naming the first failed invariant:
-    positive dims, shape, Hermiticity (1e-10/entry), unit trace (1e-10),
-    positivity (eigenvalues above the clamp tolerance).
+    positive dims, shape, Hermiticity (1e-10/entry), positivity
+    (eigenvalues above the clamp tolerance), unit trace (1e-10).  A stack
+    (N, n, n) is checked in one pass, each matrix against all three
+    invariants, and gives a list of N states; the first matrix that fails
+    raises the message it raises alone.
     """
     da, db = int(dims[0]), int(dims[1])
     if da < 1 or db < 1:
         raise StateInvariantError(f"dims must be positive, got {dims}")
     mat = np.asarray(mat, dtype=complex)
     n = da * db
-    if mat.shape != (n, n):
+    if mat.shape[-2:] != (n, n) or mat.ndim not in (2, 3):
         raise StateInvariantError(f"expected shape {(n, n)} for dims {dims}, got {mat.shape}")
+    if mat.ndim == 2:
+        _check_invariants(mat)
+        return DensityMatrix(mat=mat, dims=(da, db))
+    # one pass over the stack flags every matrix that can fail; each flagged
+    # one, in order, then raises what it raises alone
+    w = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
+    tr = np.trace(mat, axis1=-2, axis2=-1)
+    ok = np.abs(mat - dagger(mat)).max(axis=(-2, -1)) <= HERM_TOL
+    ok &= (w.min(axis=-1) >= -PSD_CLAMP) & (np.abs(tr - 1.0) <= TRACE_TOL)
+    for k in np.flatnonzero(~ok):
+        _check_invariants(mat[k])
+    return [DensityMatrix(mat=m, dims=(da, db)) for m in mat]
+
+
+def _check_invariants(mat: np.ndarray) -> None:
+    """Raise ``StateInvariantError`` naming the first invariant a square
+    matrix fails: Hermiticity, positivity, unit trace."""
     if not is_hermitian(mat, HERM_TOL):
         raise StateInvariantError("matrix is not Hermitian within 1e-10")
     w = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
@@ -108,7 +128,6 @@ def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateInvariantError(f"trace is {tr:.12g}, expected 1")
-    return DensityMatrix(mat=mat, dims=(da, db))
 
 
 def pure_state(amplitudes: np.ndarray, dims: tuple[int, int]) -> PureState:
@@ -302,13 +321,16 @@ def random_pure(dims: tuple[int, int], seed) -> PureState:
 
 def random_density(dims: tuple[int, int], rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random mixed state of the given rank."""
-    rng = _as_rng(seed)
-    n = dims[0] * dims[1]
+    return validate(_ginibre_density(dims[0] * dims[1], rank, _as_rng(seed)), dims)
+
+
+def _ginibre_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
+    """The unvalidated n x n matrix of ``random_density``, with its draws."""
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     m = g @ dagger(g)
-    return validate(m / np.trace(m).real, dims)
+    return m / np.trace(m).real
 
 
 # Correlation triples of the four maximally entangled two-qubit basis states;

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from minkit.channels import (
+    MONOTONICITY_TOL,
     apply_channel_a,
     apply_channel_b,
     attach_ancilla,
@@ -21,6 +22,8 @@ from minkit.channels import (
 )
 from minkit.linalg import dagger, tensor_product
 from minkit.nonlocality import (
+    METHOD_SPHERE,
+    OptimizerConfig,
     hs_min_numeric,
     hs_min_two_qubit,
     trace_min_numeric,
@@ -313,3 +316,42 @@ class TestMonotonicityAudit:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             monotonicity_audit(0, 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "args", [(50, 4, 42, None), (30, 3, 7, OptimizerConfig(degeneracy_tol=0.2))])
+    def test_matches_the_pair_by_pair_audit(self, args):
+        n_states, n_channels, seed, cfg = args
+        report = monotonicity_audit(*args)
+        expected, sphere = _pairwise_audit(*args)
+        assert report["cases"] == expected
+        assert report["pairs"] == n_states * n_channels
+        assert report["max_increase"] == max(c["increase"] for c in expected)
+        assert report["violations"] == [c for c in expected if c["violation"]]
+        # at degeneracy_tol 0.2 some states take the qubit sphere
+        assert (sphere > 0) == (cfg is not None)
+
+
+def _pairwise_audit(n_states, n_channels, seed, cfg):
+    """The audit's cases, one ``apply_channel_b`` and one ``trace_min_numeric``
+    call per pair, and the number of sphere-branch values among them."""
+    cfg = cfg or OptimizerConfig()
+    rng = np.random.default_rng(seed)
+    states = [random_density((2, 2), rank=1 + (i % 4), seed=rng) for i in range(n_states)]
+    channels = [random_channel(2, 1 + (j % 4), rng) for j in range(n_channels)]
+    befores = [trace_min_numeric(s, cfg) for s in states]
+    cases, sphere = [], sum(b.method == METHOD_SPHERE for b in befores)
+    for i, (state, before) in enumerate(zip(states, befores)):
+        for ch in channels:
+            after = trace_min_numeric(apply_channel_b(state, ch), cfg)
+            sphere += after.method == METHOD_SPHERE
+            increase = after.value - before.value
+            cases.append({
+                "state": i,
+                "channel": ch.label,
+                "before": before.value,
+                "after": after.value,
+                "increase": increase,
+                "tolerance": MONOTONICITY_TOL,
+                "violation": bool(increase > MONOTONICITY_TOL),
+            })
+    return cases, sphere

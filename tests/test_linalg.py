@@ -105,6 +105,25 @@ class TestLocalAction:
         for ops, out in zip(batch, got):
             np.testing.assert_allclose(out, _kron_action(mat, ops, dims, party), atol=1e-13)
 
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_state_stack_matches_one_at_a_time(self, party):
+        # each state of a stack under the same operators, bitwise
+        rng = np.random.default_rng(4)
+        dims = (2, 3)
+        d = dims[0] if party == "A" else dims[1]
+        mats = np.stack([_random_density(rng, 6) for _ in range(5)])
+        for count in (1, 3):
+            q, _ = np.linalg.qr(_random_matrix(rng, d * count)[:, :d])
+            ops = q.reshape(count, d, d)
+            got = _local_action(mats, ops, dims, party)
+            assert got.shape == (5, 6, 6)
+            for mat, out in zip(mats, got):
+                np.testing.assert_array_equal(out, _local_action(mat, ops, dims, party))
+
+    def test_rejects_a_state_stack_with_an_operator_batch(self):
+        with pytest.raises(ValueError, match="stack"):
+            _local_action(np.eye(4)[None], np.eye(2)[None, None], (2, 2), "B")
+
     def test_rejects_unknown_party(self):
         with pytest.raises(ValueError, match="party"):
             _local_action(np.eye(4), np.eye(2)[None], (2, 2), "C")
@@ -138,9 +157,19 @@ class TestPartialTrace:
         rhs = 2.0 * partial_trace(a, (2, 3), "A") + 3.0 * partial_trace(b, (2, 3), "A")
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(5)
+        ms = np.stack([_random_matrix(rng, 6) for _ in range(4)])
+        for party in ("A", "B"):
+            got = partial_trace(ms, (2, 3), party)
+            for m, out in zip(ms, got):
+                np.testing.assert_array_equal(out, partial_trace(m, (2, 3), party))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
             partial_trace(np.eye(5), (2, 3), "A")
+        with pytest.raises(ValueError, match="incompatible"):
+            partial_trace(np.zeros((2, 2, 6, 6)), (2, 3), "A")
 
 
 class TestTraceNorm:
@@ -207,8 +236,10 @@ class TestHermitianEig:
     def test_phases_match_column_loop(self):
         # reference: each column divided by the phase of its first
         # component above 1e-8, one column at a time; the eigenbasis feeds
-        # the numeric optimizers, so the result must agree to the last bit
+        # the numeric optimizers, so the result must agree to the last bit,
+        # for one matrix and for each matrix of a stack
         rng = np.random.default_rng(9)
+        stacks = {}
         for k in range(200):
             n = 1 + k % 6
             m = _random_hermitian(rng, n)
@@ -225,6 +256,25 @@ class TestHermitianEig:
                 lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
                 v[:, j] = col / (lead / abs(lead))
             np.testing.assert_array_equal(hermitian_eig(m).eigenvectors, v)
+            # a real matrix takes the real eigensolver, so real ones stack apart
+            stacks.setdefault((n, m.dtype), []).append((m, v))
+        for pairs in stacks.values():
+            eig = hermitian_eig(np.stack([m for m, _ in pairs]))
+            for vectors, (m, v) in zip(eig.eigenvectors, pairs):
+                np.testing.assert_array_equal(vectors, v)
+
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(10)
+        ms = np.stack([_random_hermitian(rng, 3) for _ in range(7)])
+        eig = hermitian_eig(ms)
+        assert eig.eigenvalues.shape == (7, 3) and eig.eigenvectors.shape == (7, 3, 3)
+        for m, w, v in zip(ms, eig.eigenvalues, eig.eigenvectors):
+            one = hermitian_eig(m)
+            np.testing.assert_array_equal(w, one.eigenvalues)
+            np.testing.assert_array_equal(v, one.eigenvectors)
+        ms[4, 0, 1] += 1e-6
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_eig(ms)
 
 
 class TestPsdSqrt:

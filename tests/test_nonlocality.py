@@ -20,6 +20,8 @@ from minkit.nonlocality import (
     OptimizerConfig,
     _BlockSearch,
     _canonical_axis,
+    _haar_starts,
+    _optimize,
     _pair_rotation,
     bures_min_numeric,
     closed_form,
@@ -341,6 +343,13 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             OptimizerConfig(seed=-1)
         assert OptimizerConfig(seed=0).seed == 0
+        # a float would fail later inside numpy with a TypeError
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            OptimizerConfig(restarts=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            OptimizerConfig(seed=1.5)
+        cfg = OptimizerConfig(restarts=np.int64(3), seed=np.uint32(7))
+        assert (cfg.restarts, cfg.seed) == (3, 7)
 
     def test_sphere_grid_contains_coordinate_axes(self):
         _, vecs = sphere_directions(64)
@@ -409,6 +418,67 @@ class TestNumericOptimizers:
         b = trace_min_numeric(rho, cfg)
         assert a.value == b.value
         np.testing.assert_array_equal(a.axis, b.axis)
+
+
+class TestBatchedOptimize:
+    """``_optimize`` on a list of states against one call per state."""
+
+    @staticmethod
+    def _mixed_states():
+        """Two-qubit states of ranks 1-4 with |x| > 0.05, a Bell-diagonal state
+        and an x = 0 state that is not Bell-diagonal, interleaved."""
+        rng = np.random.default_rng(2015)
+        states = []
+        while len(states) < 8:
+            rho = random_density((2, 2), 1 + len(states) % 4, rng)
+            if np.linalg.norm(bloch_decompose(rho).x) > 0.05:
+                states.append(rho)
+        t = np.array([[0.3, 0.1, 0.0], [0.0, -0.2, 0.05], [0.1, 0.0, 0.25]])
+        odd = validate(bloch_matrix(np.zeros(3), np.array([0.0, 0.1, 0.2]), t), (2, 2))
+        assert detect_family(odd)[0] == "generic"
+        states.insert(2, make_bell_diagonal([0.45, -0.3, 0.2]))
+        states.insert(6, odd)
+        return states
+
+    @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
+    def test_matches_one_call_per_state(self, which):
+        states = self._mixed_states()
+        batch = _optimize(states, OptimizerConfig(), which)
+        assert [r.method for r in batch] == [METHOD_UNIQUE] * 2 + [METHOD_SPHERE] + \
+            [METHOD_UNIQUE] * 3 + [METHOD_SPHERE] + [METHOD_UNIQUE] * 3
+        for rho, got in zip(states, batch):
+            one = _NUMERIC_MIN[which](rho)
+            assert got.value == one.value
+            assert (got.method, got.iterations) == (one.method, one.iterations)
+            if one.axis is None:
+                assert got.axis is None
+            else:
+                np.testing.assert_array_equal(got.axis, one.axis)
+            assert len(got.measurement.projectors) == len(one.measurement.projectors)
+            for p, q in zip(got.measurement.projectors, one.measurement.projectors):
+                np.testing.assert_array_equal(p, q)
+
+    def test_rejects_mixed_dims(self):
+        rng = np.random.default_rng(2016)
+        with pytest.raises(ValueError, match="share their dims"):
+            _optimize([random_density((2, 2), 2, rng), random_density((2, 3), 2, rng)],
+                      OptimizerConfig(), "trace")
+
+
+class TestHaarStarts:
+    def test_match_the_per_start_loop(self):
+        # blocks of two sizes, the size-2 ones apart: the draws go start by
+        # start and block by block, as one random_unitary call each did
+        blocks, da, count = ((0, 2), (2, 3), (5, 1), (6, 2)), 8, 6
+        rng, again = np.random.default_rng(77), np.random.default_rng(77)
+        got = _haar_starts(blocks, da, count, rng)
+        expected = np.tile(np.eye(da, dtype=complex), (count, 1, 1))
+        for start in expected:
+            for off, size in blocks:
+                if size >= 2:
+                    start[off : off + size, off : off + size] = random_unitary(size, again)
+        np.testing.assert_array_equal(got, expected)
+        assert rng.standard_normal() == again.standard_normal()
 
 
 class TestRelationReport:
@@ -945,6 +1015,11 @@ def _direct_value(rho, measurement, which):
     return float((np.abs(diff) ** 2).sum())
 
 
+def _search(rho, which, fam):
+    """The block search of one state over its family."""
+    return _BlockSearch(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks)
+
+
 class TestBlockBranch:
     @pytest.mark.parametrize("which", ["trace", "hs"])
     def test_reference_states(self, which):
@@ -1003,7 +1078,7 @@ class TestBlockBranch:
         eps = 1e-5
         for rho in states:
             fam = invariant_family(reduced_state(rho, "A"))
-            search = _BlockSearch(rho, which, fam)
+            search = _search(rho, which, fam)
             p = 2 * len(search.rows)
             for mu in (1e-3, 1e-6):
                 u = search.rotations(rng.standard_normal((1, p)))
@@ -1065,7 +1140,7 @@ class TestRotations:
         for rho, blocks in cases:
             fam = invariant_family(reduced_state(rho, "A"))
             assert fam.blocks == blocks
-            out.append(_BlockSearch(rho, "trace", fam))
+            out.append(_search(rho, "trace", fam))
         return out
 
     def test_matches_the_eigh_exponential(self):
@@ -1085,7 +1160,7 @@ class TestRotations:
 
     def test_larger_blocks_keep_the_eigh_path(self):
         rho = _reference_states()[0]
-        search = _BlockSearch(rho, "trace", invariant_family(reduced_state(rho, "A")))
+        search = _search(rho, "trace", invariant_family(reduced_state(rho, "A")))
         assert search.scatter is None
         x = np.random.default_rng(5).standard_normal((4, 2 * len(search.rows)))
         np.testing.assert_allclose(search.rotations(x), _eigh_exponential(search, x),
@@ -1095,8 +1170,12 @@ class TestRotations:
         rho = random_density((2, 2), 3, np.random.default_rng(2014))
         fam = invariant_family(reduced_state(rho, "A"))
         assert fam.kind == "unique"
-        search = _BlockSearch(rho, "trace", fam)
+        search = _search(rho, "trace", fam)
         assert search.scatter is None and not hasattr(search, "flat_eye")
+        assert not hasattr(search, "pairs") and not hasattr(search, "rows")
+        # one read-only mask per (dA, measure), shared by every search
+        assert search.mask is _search(rho, "hs", fam).mask
+        assert not search.mask.flags.writeable
         # the value at U = I is the only evaluation
         for which in ("trace", "hs", "bures"):
             res = _NUMERIC_MIN[which](rho)
@@ -1130,8 +1209,8 @@ class TestBuresSupport:
             h = rng.standard_normal(rho.mat.shape) + 1j * rng.standard_normal(rho.mat.shape)
             h = (h + dagger(h)) / 2
             nudged = validate(rho.mat + 1e-15 * h / np.abs(h).max(), rho.dims)
-            value = _BlockSearch(rho, "bures", fam).value(u)
-            moved = _BlockSearch(nudged, "bures", fam).value(u)
+            value = _search(rho, "bures", fam).value(u)
+            moved = _search(nudged, "bures", fam).value(u)
             assert abs(moved - value) <= 1e-12
             measurement = fam.refined([u] if fam.kind != "unique" else [])
             post = apply_projectors(rho.mat, measurement, rho.db)

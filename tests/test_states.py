@@ -58,6 +58,39 @@ class TestValidate:
         with pytest.raises(StateInvariantError, match="dims"):
             validate(np.eye(4, dtype=complex) / 4, (-2, -2))
 
+    def test_stack_gives_one_state_per_matrix(self):
+        rng = np.random.default_rng(40)
+        mats = np.stack([random_density((2, 3), 1 + k % 6, rng).mat for k in range(6)])
+        states = validate(mats, (2, 3))
+        assert len(states) == 6
+        for mat, rho in zip(mats, states):
+            assert rho.dims == (2, 3)
+            np.testing.assert_array_equal(rho.mat, validate(mat, (2, 3)).mat)
+
+    def test_stack_raises_what_its_bad_matrix_raises(self):
+        rng = np.random.default_rng(41)
+        good = [random_density((2, 2), 1 + k % 4, rng).mat for k in range(6)]
+        # unit trace and Hermitian, so only positivity fails
+        bad = np.diag([0.6, 0.5, 0.1, -0.2]).astype(complex)
+        with pytest.raises(StateInvariantError) as alone:
+            validate(bad, (2, 2))
+        assert "negative eigenvalue -2.000e-01" in str(alone.value)
+        with pytest.raises(StateInvariantError) as stacked:
+            validate(np.stack(good[:4] + [bad] + good[4:]), (2, 2))
+        assert str(stacked.value) == str(alone.value)
+
+    def test_stack_names_its_first_bad_matrix(self):
+        good = np.eye(4, dtype=complex) / 4
+        heavy = 2.0 * good
+        skew = good.copy()
+        skew[0, 1] = 0.1
+        with pytest.raises(StateInvariantError, match="trace is 2"):
+            validate(np.stack([good, heavy, skew]), (2, 2))
+        with pytest.raises(StateInvariantError, match="Hermitian"):
+            validate(np.stack([good, skew, heavy]), (2, 2))
+        with pytest.raises(StateInvariantError, match="expected shape"):
+            validate(np.stack([good, good])[None], (2, 2))
+
     def test_werner_passes(self):
         rho = make_werner(2, 0.5)
         validate(rho.mat, (2, 2))
