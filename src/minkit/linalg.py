@@ -47,31 +47,34 @@ def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
 
     ``ops`` is a stack (k, d, d) of operators on that party, or a batch of
     stacks (N, k, d, d), which gives N outputs.  ``mat`` is one matrix or a
-    stack (N, n, n), which gives N outputs under the same operators; each
-    output is bitwise the one that matrix gives alone.  Works on the
-    (dA, dB, dA, dB) reshape of ``mat``: the left factor is one matrix
-    product for the whole batch, the right factor one ``einsum``; no
-    operator is lifted to the full space.
+    stack (N, n, n), which gives N outputs under the same operators; a stack
+    with a batch pairs matrix i with operator stack i.  Each output is
+    bitwise the one that matrix gives alone.  Works on the (dA, dB, dA, dB)
+    reshape of ``mat``: the left factor is one matrix product for the whole
+    batch, or one per pair, the right factor one ``einsum``; no operator is
+    lifted to the full space.
     """
     da, db = dims
     n = da * db
     mat, ops = np.asarray(mat), np.asarray(ops)
     stack, lead = mat.shape[:-2], ops.shape[:-2]
-    if stack and len(lead) > 1:
-        raise ValueError("a stack of matrices takes one operator stack, not a batch")
+    paired = bool(stack) and len(lead) > 1
+    if paired and (len(stack), len(lead)) != (1, 2):
+        raise ValueError("a stack of N matrices pairs with a batch (N, k, d, d) of operators")
+    pre, outer = (lead[:1], lead) if paired else ((), stack + lead)  # leading shapes
     if party == "A":
         # left[..., k, a, b, d, e] = sum_c K[a, c] mat[(c, b), (d, e)]
-        left = ops.reshape(-1, da) @ mat.reshape(stack + (da, db * n))
-        left = left.reshape(stack + lead + (n, da, db))
+        left = ops.reshape(pre + (-1, da)) @ mat.reshape(stack + (da, db * n))
+        left = left.reshape(outer + (n, da, db))
         out = np.einsum("...kfd,...kxde->...xfe", ops.conj(), left)
     elif party == "B":
         # left[..., k, b, a, (d, e)] = sum_c K[b, c] mat[(a, c), (d, e)]
         rows = np.swapaxes(mat.reshape(stack + (da, db, n)), -3, -2).reshape(stack + (db, da * n))
-        left = (ops.reshape(-1, db) @ rows).reshape(stack + lead + (db, da, da, db))
+        left = (ops.reshape(pre + (-1, db)) @ rows).reshape(outer + (db, da, da, db))
         out = np.einsum("...kbade,...kfe->...abdf", left, ops.conj())
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return out.reshape(stack + lead[:-1] + (n, n))
+    return out.reshape(outer[:-1] + (n, n))
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:

@@ -115,12 +115,19 @@ class MeasurementFamily:
         ``block_unitaries`` supplies a unitary for each block of size >= 2,
         in block order; size-1 blocks have no freedom.
         """
-        cols = self.basis.copy()
-        it = iter(block_unitaries)
-        for off, size in self.blocks:
-            if size >= 2:
-                cols[:, off : off + size] = cols[:, off : off + size] @ next(it)
+        cols = _turned(self.basis, self.blocks, block_unitaries)
         return LocalMeasurement(projectors=tuple(_rank_one_projectors(cols)))
+
+
+def _turned(basis: np.ndarray, blocks, block_unitaries) -> np.ndarray:
+    """The columns of a basis (..., d, d), or of each in a stack, turned by
+    one unitary (..., s, s) per block of size s >= 2, in block order."""
+    cols = basis.copy()
+    it = iter(block_unitaries)
+    for off, size in blocks:
+        if size >= 2:
+            cols[..., off : off + size] = cols[..., off : off + size] @ next(it)
+    return cols
 
 
 def _rank_one_projectors(cols: np.ndarray) -> np.ndarray:
@@ -144,14 +151,10 @@ def invariant_family(
     # where each descending spectrum has a gap wider than the tolerance
     gaps = (eig.eigenvalues[..., :-1] - eig.eigenvalues[..., 1:] > degeneracy_tol).tolist()
     if eig.eigenvalues.ndim == 1:
-        return _family(tuple(gaps), eig.eigenvectors)
-    return [_family(tuple(g), v) for g, v in zip(gaps, eig.eigenvectors)]
-
-
-def _family(gaps: tuple[bool, ...], basis: np.ndarray) -> MeasurementFamily:
-    """The family of the eigenbasis ``basis`` whose spectrum has ``gaps``."""
-    kind, blocks = _blocks(gaps)
-    return MeasurementFamily(kind=kind, basis=basis, blocks=blocks)
+        kind, blocks = _blocks(tuple(gaps))
+        return MeasurementFamily(kind, eig.eigenvectors, blocks)
+    return [MeasurementFamily(kind, v, blocks)  # positional: a stack builds many
+            for (kind, blocks), v in zip(map(_blocks, map(tuple, gaps)), eig.eigenvectors)]
 
 
 @functools.lru_cache(maxsize=256)

@@ -30,8 +30,8 @@ from .measurements import (
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
     LocalMeasurement,
-    MeasurementFamily,
     _rank_one_projectors,
+    _turned,
     invariant_family,
 )
 from .states import (
@@ -84,6 +84,8 @@ class OptimizerConfig:
     while it sees no positive curvature (``_BlockSearch.ascend``).  The
     result is the first start within ``tol`` of the best, so that ties go
     to the identity; its value can sit up to ``tol`` below the best start's.
+    The states of one call whose families share their blocks take the same
+    Haar starts and one lockstep, each with the result it gives alone.
     """
 
     restarts: int = 4
@@ -196,40 +198,31 @@ def _two_qubit_value(rho: DensityMatrix, trace: bool, degenerate_tol: float) -> 
 
 def trace_min_werner(d: int, x: float) -> float:
     """Trace MIN of the d x d Werner state: ``|dx - 1| / (d + 1)``."""
-    _check_werner_args(d, x)
+    _check_family_args(d, x, -1.0)
     return abs(d * x - 1.0) / (d + 1)
 
 
 def hs_min_werner(d: int, x: float) -> float:
     """HS MIN of the d x d Werner state."""
-    _check_werner_args(d, x)
+    _check_family_args(d, x, -1.0)
     return (d * x - 1.0) ** 2 / (d * (d - 1) * (d + 1) ** 2)
 
 
 def trace_min_isotropic(d: int, x: float) -> float:
     """Trace MIN of the d x d isotropic state: ``2|d^2 x - 1| / (d(d+1))``."""
-    _check_isotropic_args(d, x)
+    _check_family_args(d, x, 0.0)
     return 2.0 * abs(d * d * x - 1.0) / (d * (d + 1))
 
 
 def hs_min_isotropic(d: int, x: float) -> float:
     """HS MIN of the d x d isotropic state."""
-    _check_isotropic_args(d, x)
+    _check_family_args(d, x, 0.0)
     return (d * d * x - 1.0) ** 2 / (d * (d + 1) ** 2 * (d - 1))
 
 
-def _check_werner_args(d: int, x: float) -> None:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [-1, 1], got {x}")
-
-
-def _check_isotropic_args(d: int, x: float) -> None:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+def _check_family_args(d: int, x: float, low: float) -> None:
+    if d < 2 or not low <= x <= 1.0:
+        raise ValueError("d must be >= 2" if d < 2 else f"x must lie in [{low:g}, 1], got {x}")
 
 
 def closed_form(rho: DensityMatrix, measure: str, degeneracy_tol: float = 1e-8) -> float | None:
@@ -320,6 +313,13 @@ def sphere_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.column_stack([tt, pp]), vecs
 
 
+def _bloch_axis(p: np.ndarray) -> np.ndarray:
+    """The Bloch axis e of a qubit projector p = (I + e.sigma)/2, by ``_canonical_axis``."""
+    # + 0.0 turns the -0.0 of a negated zero into 0.0
+    return _canonical_axis(np.array([2.0 * p[0, 1].real, -2.0 * p[0, 1].imag,
+                                     (p[0, 0] - p[1, 1]).real]) + 0.0)
+
+
 def _canonical_axis(axis: np.ndarray) -> np.ndarray:
     """The one of +-axis (the same measurement) whose first nonzero
     coordinate in the order (z, y, x) is positive."""
@@ -401,8 +401,8 @@ def _value_mask(da: int, bures: bool) -> np.ndarray:
 
 
 class _BlockSearch:
-    """One measure over the invariant families of a stack of states, each in
-    the eigenbasis frame of its rho_A.
+    """One measure over the invariant families of a stack of states that
+    share their blocks, each in the eigenbasis frame of its rho_A.
 
     ``which`` is "trace" (trace norm), "hs" (squared HS norm) or "bures"
     (2(1 - sqrt(fidelity))).  A point is a unitary U (dA x dA) acting inside
@@ -410,36 +410,29 @@ class _BlockSearch:
     ``fam.basis @ U``.  With rho~ = (U^dag x I) rho (U x I) in that frame,
     the post-measurement state is D(rho~), the diagonal A blocks of rho~.
 
-    The families share their blocks.  A stack of states with nondegenerate
-    marginals has no free parameter: ``values()`` evaluates each at U = I,
-    all in one spectral call, and nothing else applies.  A family with a
-    free parameter is searched one state at a time: every other method
-    takes a stack (k, dA, dA) of U's of that state.  Evaluations are
-    counted in ``evals``.  Bures is taken on the support of rho, where
-    rho = W W^dag: the roots of round-off eigenvalues outside it would
-    leave 1e-8 of noise.
+    With nondegenerate marginals there is no free parameter: ``values()``
+    evaluates each state at U = I, all in one spectral call.  Otherwise the
+    states are searched together in rows, (state, U) pairs: a method that
+    takes U's ``us`` (k, dA, dA) takes each row's state in ``state`` (k,),
+    and a row's arithmetic is what it is alone.  ``evals`` counts each
+    state's evaluations (an int for one state).  Bures is taken on the
+    support of rho = W W^dag, from the W (N, n, rank) ``roots``: the roots
+    of round-off eigenvalues outside it would leave 1e-8 of noise.
     """
 
     def __init__(self, mats: np.ndarray, dims: tuple[int, int], which: str,
-                 bases: np.ndarray, blocks: tuple[tuple[int, int], ...]):
-        self.which, self.dims, self.da, self.evals = which, dims, dims[0], 0
+                 bases: np.ndarray, blocks: tuple[tuple[int, int], ...],
+                 roots: np.ndarray | None = None):
+        self.which, self.dims, self.da = which, dims, dims[0]
         # V x I for the eigenbasis V of each rho_A
         lift = np.einsum("nac,bd->nabcd", bases, np.eye(dims[1])).reshape(mats.shape)
         self.rho = dagger(lift) @ mats @ lift
         self.mask = _value_mask(self.da, which == "bures")
-        if which == "bures":
-            w, v = np.linalg.eigh(mats)
-            # the support is the top ``rank`` eigenvectors; W in the frame,
-            # one stack (m, n, rank) per rank with the states it holds
-            ranks = (w > _SUPPORT_TOL * w[:, -1:]).sum(-1)
-            self.supports, kinds = [], sorted(set(ranks.tolist()))
-            for rank in kinds:
-                idx = slice(None) if len(kinds) == 1 else np.flatnonzero(ranks == rank)
-                roots = v[idx][..., -rank:] * np.sqrt(w[idx][:, None, -rank:])
-                self.supports.append((idx, dagger(lift[idx]) @ roots))
+        self.root = None if roots is None else dagger(lift) @ roots  # W in the frame
         self.scatter = None
         if len(blocks) == self.da:  # every block has size 1: no free parameter
             return
+        self.evals = 0 if len(mats) == 1 else np.zeros(len(mats), dtype=int)
         # tangent coordinates: real and imaginary parts of H_ij, i < j in a block
         self.pairs = [[off + i, off + j] for off, size in blocks
                       for i in range(size) for j in range(i + 1, size)]
@@ -452,76 +445,72 @@ class _BlockSearch:
                 [r + self.rows, c + self.cols, r + self.cols, c + self.rows])
             self.flat_eye = np.eye(self.da, dtype=complex).ravel()
 
-    def frames(self, us: np.ndarray) -> np.ndarray:
-        """rho~ of the one state for each U, shaped (k, dA, dB, dA, dB)."""
-        self.evals += len(us)
-        out = _local_action(self.rho[0], dagger(us)[:, None], self.dims, "A")
+    def frames(self, us: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """rho~ of each row, shaped (k, dA, dB, dA, dB)."""
+        self.evals += len(us) if len(self.rho) == 1 else np.bincount(state, minlength=len(self.rho))
+        rho = self.rho[0] if len(self.rho) == 1 else self.rho[state]  # one state: no gather
+        out = _local_action(rho, dagger(us)[:, None], self.dims, "A")
         return out.reshape((len(us),) + self.dims * 2)
 
-    def _spectral(self, us: np.ndarray, rt: np.ndarray, factor: np.ndarray | None = None):
+    def _spectral(self, us: np.ndarray, rt: np.ndarray, state: np.ndarray | None = None):
         """The matrix whose eigenvalues give the value of each frame, and W~:
         rho~ - D(rho~) for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W
-        for Bures.  ``factor`` is W in the frame (m, n, rank), the one
-        state's by default; ``us`` broadcasts against it."""
+        for Bures.  ``state`` picks each row's W; with ``state`` None the
+        rows are the states, and ``us`` broadcasts against them."""
         k, n = len(rt), self.rho.shape[-1]
         if self.which == "trace":
             return (rt * self.mask).reshape(k, n, n), None
-        if factor is None:
-            factor = self.supports[0][1]
-        wt = (dagger(us) @ factor.reshape(len(factor), self.da, -1)).reshape(k, n, -1)
+        root = self.root if state is None or len(self.root) == 1 else self.root[state]
+        wt = (dagger(us) @ root.reshape(len(root), self.da, -1)).reshape(k, n, -1)
         return dagger(wt) @ (rt * self.mask).reshape(k, n, n) @ wt, wt
 
-    def values(self, us: np.ndarray | None = None) -> np.ndarray:
-        """The measure at each U of the one state, from the spectrum that
-        ``smoothed`` uses; with ``us`` None, that of each state at U = I."""
-        if us is None:
-            self.evals += len(self.rho)
-            rt = self.rho.reshape(self.rho.shape[:1] + self.dims * 2)
-        else:
-            rt = self.frames(us)
+    def values(self, us: np.ndarray | None = None, state: np.ndarray | None = None) -> np.ndarray:
+        """The measure of each row, from the spectrum that ``smoothed`` uses;
+        with ``us`` None, that of each state at U = I."""
+        rt = self.rho.reshape(-1, *self.dims * 2) if us is None else self.frames(us, state)
         if self.which == "hs":
             return (np.abs(rt * self.mask) ** 2).reshape(len(rt), -1).sum(-1)
         if self.which == "trace":
             return np.abs(np.linalg.eigvalsh(self._spectral(us, rt)[0])).sum(-1)
         if us is None:
             us = np.eye(self.da, dtype=complex)[None]
-        out = np.empty(len(rt))
-        for idx, factor in self.supports:
-            c = np.linalg.eigvalsh(self._spectral(us, rt[idx], factor)[0])
-            fid = np.minimum(np.sqrt(np.maximum(c, 0.0)).sum(-1) ** 2, 1.0)
-            out[idx] = 2.0 * (1.0 - np.sqrt(fid))
-        return out
-
-    def value(self, u: np.ndarray) -> float:
-        """The measure of the one state at one U."""
-        return float(self.values(u[None])[0])
+        c = np.linalg.eigvalsh(self._spectral(us, rt, state)[0])
+        fid = np.minimum(np.sqrt(np.maximum(c, 0.0)).sum(-1) ** 2, 1.0)
+        return 2.0 * (1.0 - np.sqrt(fid))
 
     def jacobi(self, tol: float) -> np.ndarray:
-        """HS optimum by Jacobi sweeps from the identity.
+        """HS optimum of each state (N, dA, dA), by Jacobi sweeps from the
+        identity, the states in lockstep.
 
         Within span{i, j} the new projectors are (I +- n.sigma)/2, and the
         summed squared diagonal blocks are a constant plus n.G.n / 2 with
         G = ``_pauli_gram`` of that pair, so the exact step is the least
         eigenvector of G.  A step whose gain is round-off is not taken, and
-        the sweeps stop once one gains at most ``tol``.
+        a state's sweeps stop once one gains at most ``tol``.
         """
-        u = np.eye(self.da, dtype=complex)[None]
+        u = np.eye(self.da, dtype=complex)[None].repeat(len(self.rho), 0)
+        live = list(range(len(u)))
         for _ in range(_JACOBI_SWEEPS):
-            gain = 0.0
+            gain = [0.0] * len(live)
+            lu = u if len(live) == len(u) else u[live]  # the live rows, no copy while all are
             for pair in self.pairs:
-                g = _pauli_gram(_pauli_blocks(self.frames(u)[0][pair][:, :, pair]))
+                g = _pauli_gram(_pauli_blocks(self.frames(lu, live)[:, pair][:, :, :, pair]))
                 w, v = np.linalg.eigh(g)
-                step = (g[2, 2] - w[0]) / 2
-                if step > 1e-14 * np.trace(g):
-                    n = v[:, 0] if v[2, 0] >= 0.0 else -v[:, 0]
-                    u[0][:, pair] = u[0][:, pair] @ _pair_rotation(n)
-                    gain += step
-            if gain <= tol:
+                for r in range(len(live)):  # each row's step, as it takes it alone
+                    step = (g[r, 2, 2] - w[r, 0]) / 2
+                    if step > 1e-14 * np.trace(g[r]):
+                        n = v[r, :, 0] if v[r, 2, 0] >= 0.0 else -v[r, :, 0]
+                        lu[r][:, pair] = lu[r][:, pair] @ _pair_rotation(n)
+                        gain[r] += step
+            if lu is not u:
+                u[live] = lu
+            live = [row for row, gained in zip(live, gain) if gained > tol]
+            if not live:
                 break
-        return u[0]
+        return u
 
-    def smoothed(self, us: np.ndarray, mu: float):
-        """Smoothed value, true value and ascent gradient (k, p) of each U.
+    def smoothed(self, us: np.ndarray, state: np.ndarray, mu: float):
+        """Smoothed value, true value and ascent gradient (k, p) of each row.
 
         Trace: sum sqrt(l^2 + mu^2) over the eigenvalues l of rho~ - D(rho~);
         the derivative along U exp(tH) is tr(H tr_B[S_off, rho~]) with
@@ -531,8 +520,8 @@ class _BlockSearch:
         W~ = (U^dag x I) W; with Z = W~ (C + mu^2)^(-1/2) W~^dag the
         derivative is -tr(H tr_B[D(rho~), Z] + H tr_B[D(Z), rho~]).
         """
-        rt = self.frames(us)
-        x, wt = self._spectral(us, rt)
+        rt = self.frames(us, state)
+        x, wt = self._spectral(us, rt, state)
         if self.which == "trace":
             w, v = np.linalg.eigh(x)
             root = np.sqrt(w * w + mu * mu)
@@ -575,8 +564,9 @@ class _BlockSearch:
         w, q = np.linalg.eigh(1j * h)
         return (q * np.exp(-1j * w)[:, None, :]) @ dagger(q)
 
-    def ascend(self, us: np.ndarray, tol: float) -> np.ndarray:
-        """Best U after a quasi-Newton ascent from every start, in lockstep.
+    def ascend(self, starts: np.ndarray, tol: float) -> np.ndarray:
+        """Best U of each state (N, dA, dA) after a quasi-Newton ascent from
+        each of its starts ``starts`` (N, K, dA, dA), every row in lockstep.
 
         One stage per smoothing width in ``_SMOOTHING``, of at most
         ``_WARM_STEPS`` steps before the last and ``_ASCENT_STEPS`` in it.
@@ -591,22 +581,23 @@ class _BlockSearch:
         before the update.  A start stops once its predicted gain g.H is at
         most ``tol``, whether or not its last trial succeeded, or once t
         falls to 1e-10; a start with zero gradient stops at once.  Within a
-        stage the arrays hold the live starts only, updated with
-        ``np.where``; a start's U, value and estimate are written back to
-        the full stack when it stops or the stage ends.
+        stage the arrays hold the live rows only, updated with ``np.where``;
+        a row's U, value and estimate are written back to the full stack
+        when it stops or the stage ends.
 
-        The U returned is that of the first start whose true value is
-        within ``tol`` of the best start's, so that ties go to U = I; its
-        value can therefore sit up to ``tol`` below the best start's.
+        Each state's U is that of its first start within ``tol`` of its
+        best, so that ties go to U = I; its value can therefore sit up to
+        ``tol`` below the best start's.
         """
-        k, p = len(us), 2 * len(self.rows)
-        inv, fresh = np.tile(np.eye(p), (k, 1, 1)), np.ones(k, dtype=bool)
+        (n, per), p = starts.shape[:2], 2 * len(self.rows)
+        us, state = starts.reshape((-1,) + starts.shape[2:]), np.repeat(np.arange(n), per)
+        inv, fresh = np.tile(np.eye(p), (n * per, 1, 1)), np.ones(n * per, dtype=bool)
         for mu in _SMOOTHING:
-            val, true, grad = self.smoothed(us, mu)
+            val, true, grad = self.smoothed(us, state, mu)
             live = np.flatnonzero((grad**2).sum(-1) > tol * tol)
             if not live.size:
                 continue
-            u, h, new = us[live], inv[live], fresh[live]
+            u, h, new, rows = us[live], inv[live], fresh[live], state[live]
             val, tr, g = val[live], true[live], grad[live]
             d = (h @ g[..., None])[..., 0]
             slope, t = (g * d).sum(-1), np.ones(len(live))
@@ -615,7 +606,7 @@ class _BlockSearch:
                     break
                 step = t[:, None] * d
                 trial = u @ self.rotations(step)
-                tv, tt, tg = self.smoothed(trial, mu)
+                tv, tt, tg = self.smoothed(trial, rows, mu)
                 ok = tv >= val + 1e-4 * t * slope
                 take = _taker(ok)
                 updated, curved = _bfgs_update(h, step, g - tg, new)
@@ -631,11 +622,13 @@ class _BlockSearch:
                     us[gone], inv[gone] = u[stop], h[stop]
                     fresh[gone], true[gone] = new[stop], tr[stop]
                     keep = ~stop
-                    live, u, h, new, val, tr, g, d, slope, t = (
-                        a[keep] for a in (live, u, h, new, val, tr, g, d, slope, t))
+                    live, rows, u, h, new, val, tr, g, d, slope, t = (
+                        a[keep] for a in (live, rows, u, h, new, val, tr, g, d, slope, t))
             us[live], inv[live], fresh[live], true[live] = u, h, new, tr
-        # the first start within tol of the best, so that ties go to U = I
-        return us[np.argmax(true >= true.max() - tol)]
+        # per state, the first start within tol of the best, so that ties go to U = I
+        true = true.reshape(n, per)
+        first = np.argmax(true >= true.max(-1, keepdims=True) - tol, axis=-1)
+        return us.reshape(starts.shape)[np.arange(n), first]
 
 
 def _haar_starts(blocks, da: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -667,58 +660,58 @@ def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> li
 
     ``rhos`` share their dims; one ``MinResult`` per state comes back, in
     order, each bitwise what the state gives alone.  One partial trace and
-    one ``hermitian_eig`` over the stack give the marginals' families.  A
-    nondegenerate marginal is the case with no free parameter: no Jacobi
-    pair, no start and no ascent, only the identity, and all such states
-    are evaluated together by one ``_BlockSearch``.  Each other state is
-    searched alone: HS is the Jacobi optimum from the identity; trace and
-    Bures ascend from the identity, the HS optimum and 2 ``cfg.restarts``
-    Haar block unitaries drawn from ``cfg.seed``, and the value is evaluated
-    once more at the returned U.  On the qubit sphere (dA = 2) the result
-    also carries the Bloch axis of the first projector, by
-    ``_canonical_axis``.
+    one ``hermitian_eig`` over the stack give the marginals' families; the
+    states of one family shape (the same ``blocks``; for Bures also the
+    same support rank) take one ``_BlockSearch``.  With a nondegenerate
+    marginal there is no free parameter and the value is taken at U = I.
+    Otherwise HS is the Jacobi optimum from I; trace and Bures ascend from
+    I, the HS optimum and 2 ``cfg.restarts`` Haar block unitaries drawn once
+    per shape from ``cfg.seed``, every start of every state in lockstep,
+    and the value is taken once more at each returned U.  On the qubit
+    sphere (dA = 2) the result also carries the Bloch axis of the first
+    projector, by ``_canonical_axis``.
     """
     dims = rhos[0].dims
     if any(rho.dims != dims for rho in rhos):
         raise ValueError("the states of one call must share their dims")
     if dims[0] * dims[1] > DIM_LIMIT:
-        raise DimensionLimitError(
-            f"state dimension {dims[0] * dims[1]} exceeds the numeric bound {DIM_LIMIT}"
-        )
+        raise DimensionLimitError(f"state dimension {dims[0] * dims[1]} exceeds the numeric "
+                                  f"bound {DIM_LIMIT}")
     mats = np.array([rho.mat for rho in rhos])
     fams = invariant_family(partial_trace(mats, dims, "B"), cfg.degeneracy_tol)
+    ranks = [0] * len(rhos)
+    if which == "bures":
+        # rho = W W^dag on its support, its top ``rank`` eigenvectors; a search has one rank
+        w, v = np.linalg.eigh(mats)
+        ranks = (w > _SUPPORT_TOL * w[:, -1:]).sum(-1).tolist()
+    shapes: dict = {}
+    for i, (fam, rank) in enumerate(zip(fams, ranks)):
+        shapes.setdefault((fam.kind, fam.blocks, rank), []).append(i)
     results: list = [None] * len(rhos)
-    unique = [i for i, fam in enumerate(fams) if fam.kind == KIND_UNIQUE]
-    if unique:
-        bases = np.array([fams[i].basis for i in unique])
-        stack = mats if len(unique) == len(rhos) else mats[unique]
-        search = _BlockSearch(stack, dims, which, bases, fams[unique[0]].blocks)
-        for i, value, ps in zip(unique, search.values().tolist(), _rank_one_projectors(bases)):
-            results[i] = MinResult(value, METHOD_UNIQUE, LocalMeasurement(tuple(ps)), iterations=1)
-    for i, fam in enumerate(fams):
-        if fam.kind != KIND_UNIQUE:
-            results[i] = _search_family(mats[i], dims, cfg, which, fam)
+    for (kind, blocks, rank), idx in shapes.items():
+        bases = np.array([fams[i].basis for i in idx])
+        roots = v[idx][..., -rank:] * np.sqrt(w[idx][:, None, -rank:]) if rank else None
+        stack = mats if len(idx) == len(rhos) else mats[idx]
+        search = _BlockSearch(stack, dims, which, bases, blocks, roots)
+        if kind == KIND_UNIQUE:
+            values, iterations, cols, method = search.values(), [1] * len(idx), bases, METHOD_UNIQUE
+        else:
+            method = METHOD_SPHERE if kind == KIND_QUBIT_SPHERE else METHOD_BLOCK
+            u = search.jacobi(cfg.tol)
+            if which != "hs":
+                rng = np.random.default_rng(cfg.seed)
+                haar = _haar_starts(blocks, dims[0], 2 * cfg.restarts, rng)
+                starts = np.empty((len(u), 2 + len(haar)) + u.shape[1:], dtype=complex)
+                starts[:, 0], starts[:, 1], starts[:, 2:] = np.eye(dims[0]), u, haar
+                u = search.ascend(starts, cfg.tol)
+            values = search.values(u, np.arange(len(u)))
+            iterations = np.atleast_1d(search.evals).tolist()
+            cols = _turned(bases, blocks, [u[:, o : o + s, o : o + s] for o, s in blocks if s > 1])
+        projectors = zip(*_rank_one_projectors(cols).swapaxes(0, 1))
+        for i, value, ps, n in zip(idx, values.tolist(), projectors, iterations):
+            axis = _bloch_axis(ps[0]) if kind == KIND_QUBIT_SPHERE else None
+            results[i] = MinResult(value, method, LocalMeasurement(ps), axis, n)
     return results
-
-
-def _search_family(mat: np.ndarray, dims: tuple[int, int], cfg: OptimizerConfig, which: str,
-                   fam: MeasurementFamily) -> MinResult:
-    """The maximum of one state over a family with a free parameter."""
-    search = _BlockSearch(mat[None], dims, which, fam.basis[None], fam.blocks)
-    u = search.jacobi(cfg.tol)
-    if which != "hs":
-        rng = np.random.default_rng(cfg.seed)
-        starts = np.concatenate([np.eye(dims[0], dtype=complex)[None], u[None],
-                                 _haar_starts(fam.blocks, dims[0], 2 * cfg.restarts, rng)])
-        u = search.ascend(starts, cfg.tol)
-    measurement = fam.refined([u[off : off + s, off : off + s] for off, s in fam.blocks if s >= 2])
-    value = search.value(u)
-    if fam.kind != KIND_QUBIT_SPHERE:
-        return MinResult(value, METHOD_BLOCK, measurement, iterations=search.evals)
-    p = measurement.projectors[0]
-    # + 0.0 turns the -0.0 of a negated zero into 0.0
-    axis = np.array([2.0 * p[0, 1].real, -2.0 * p[0, 1].imag, (p[0, 0] - p[1, 1]).real]) + 0.0
-    return MinResult(value, METHOD_SPHERE, measurement, _canonical_axis(axis), search.evals)
 
 
 def trace_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> MinResult:
@@ -750,45 +743,51 @@ def relation_report(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> d
     entangled m x n pure state (m > 2) obeys the identity of the isotropic
     family it belongs to at unit fidelity.
     """
-    cfg = cfg or OptimizerConfig()
-    family, params = detect_family(rho)
-    lhs = None
-    if family != "generic":
-        lhs = _closed_value(rho, True, family, params, cfg.degeneracy_tol)
-    if lhs is None:
+    return _relation_reports([rho], cfg or OptimizerConfig())[0]
+
+
+def _relation_reports(rhos: list[DensityMatrix], cfg: OptimizerConfig) -> list[dict]:
+    """``relation_report`` of each state, with the numeric HS values of the
+    states of one dims from one ``_optimize`` call."""
+    sides = [(rho, *detect_family(rho)) for rho in rhos]
+    lhs = [None if family == "generic" else
+           _closed_value(rho, True, family, params, cfg.degeneracy_tol)
+           for rho, family, params in sides]
+    if any(value is None for value in lhs):
         raise ValueError("state does not belong to a family with a known trace/hs identity")
-    hs = hs_min_numeric(rho, cfg).value
-    if family == "pure" and rho.da > 2:
-        m = rho.da
-        identity, rhs = "trace = 2 sqrt((m-1) hs / m)", 2.0 * math.sqrt((m - 1) * hs / m)
-    elif family == "pure":
-        identity, rhs = "trace = sqrt(2 * hs)", math.sqrt(2.0 * hs)
-    elif family == "bell_diagonal":
-        mid = np.sort(np.abs(params["c"]))[1]
-        identity, rhs = "trace = sqrt(4 * hs - mid^2)", math.sqrt(max(4.0 * hs - mid**2, 0.0))
-    elif family == "werner":
-        d = params["d"]
-        identity, rhs = "trace = sqrt(d (d-1) hs)", math.sqrt(d * (d - 1) * hs)
-    else:
-        d = params["d"]
-        identity, rhs = "trace = 2 sqrt((d-1) hs / d)", 2.0 * math.sqrt((d - 1) * hs / d)
-    report = {
-        "family": family,
-        "identity": identity,
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "residual": float(abs(lhs - rhs)),
-    }
-    if family in ("werner", "isotropic"):
-        report["d"] = int(params["d"])
-        report["x"] = float(params["x"])
-    return report
+    hs: dict = {}
+    for dims in dict.fromkeys(rho.dims for rho in rhos):
+        idx = [i for i, rho in enumerate(rhos) if rho.dims == dims]
+        hs.update(zip(idx, (r.value for r in _optimize([rhos[i] for i in idx], cfg, "hs"))))
+    reports = []
+    for i, (rho, family, params) in enumerate(sides):
+        d = params.get("d", rho.da)
+        if family == "pure" and d > 2:
+            identity, rhs = "trace = 2 sqrt((m-1) hs / m)", 2.0 * math.sqrt((d - 1) * hs[i] / d)
+        elif family == "pure":
+            identity, rhs = "trace = sqrt(2 * hs)", math.sqrt(2.0 * hs[i])
+        elif family == "bell_diagonal":
+            mid = np.sort(np.abs(params["c"]))[1]
+            identity = "trace = sqrt(4 * hs - mid^2)"
+            rhs = math.sqrt(max(4.0 * hs[i] - mid**2, 0.0))
+        elif family == "werner":
+            identity, rhs = "trace = sqrt(d (d-1) hs)", math.sqrt(d * (d - 1) * hs[i])
+        else:
+            identity, rhs = "trace = 2 sqrt((d-1) hs / d)", 2.0 * math.sqrt((d - 1) * hs[i] / d)
+        report = {"family": family, "identity": identity, "lhs": float(lhs[i]), "rhs": float(rhs),
+                  "residual": float(abs(lhs[i] - rhs))}
+        if family in ("werner", "isotropic"):
+            report["d"] = int(params["d"])
+            report["x"] = float(params["x"])
+        reports.append(report)
+    return reports
 
 
 def relation_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> dict:
     """``relation_report`` over the Werner (d = 2, 3, 4) and isotropic (d = 2, 3)
     families at 11 parameters each, ``counts`` seeded Bell-diagonal states and
-    max(1, counts // 2) seeded 2x2 and 2x3 pure states.
+    max(1, counts // 2) seeded 2x2 and 2x3 pure states, with the numeric HS
+    values of all of them in one ``_optimize`` call per dims.
 
     A family state passes with a residual of at most 1e-10, a pure state
     with at most 1e-8; the audit passes when every state does.
@@ -801,11 +800,8 @@ def relation_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -
     families += [make_isotropic(d, float(x)) for d in (2, 3) for x in np.linspace(0.0, 1.0, 11)]
     families += [make_bell_diagonal(random_bell_triple(rng)) for _ in range(counts)]
     pure = [density_from_pure(random_pure((2, 2 + k % 2), rng)) for k in range(max(1, counts // 2))]
-    cases = [
-        {**relation_report(rho, cfg), "tolerance": tol}
-        for states, tol in ((families, 1e-10), (pure, 1e-8))
-        for rho in states
-    ]
+    cases = [{**report, "tolerance": 1e-10 if k < len(families) else 1e-8}
+             for k, report in enumerate(_relation_reports(families + pure, cfg))]
     failures = [c for c in cases if c["residual"] > c["tolerance"]]
     return {
         "cases": cases,
@@ -855,10 +851,10 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
     ``_optimize`` call, and are checked against ``trace_min_two_qubit``,
     with the residual of ``_sumabs_reading`` recorded next to it;
     max(1, counts // 2) random Bell-diagonal states take the qubit sphere,
-    one ``trace_min_numeric`` call each, and are checked against the
-    largest |c_i|.  The audit passes when every
-    residual is at most 1e-8.  Raises ``ValueError`` for a ``degeneracy_tol``
-    of 1 or more, which no two-qubit state's |x| exceeds.
+    all in one more ``_optimize`` call, one lockstep ascent for them all,
+    and are checked against the largest |c_i|.  The audit passes when every
+    residual is at most 1e-8.  Raises ``ValueError`` for a
+    ``degeneracy_tol`` of 1 or more, which no two-qubit state's |x| exceeds.
     """
     if counts < 1:
         raise ValueError("counts must be >= 1")
@@ -874,15 +870,12 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
         if np.linalg.norm(bloch_decompose(rho).x) > floor:
             generic.append(rho)
     triples = [random_bell_triple(rng) for _ in range(max(1, counts // 2))]
-    generic_cases = []
-    for rho, numeric in zip(generic, _optimize(generic, cfg, "trace")):
-        case = _oracle_case(trace_min_two_qubit(rho).value, numeric)
-        case["residual_sumabs_reading"] = abs(_sumabs_reading(rho) - case["numeric"])
-        generic_cases.append(case)
-    sphere_cases = [
-        _oracle_case(float(np.abs(c).max()), trace_min_numeric(make_bell_diagonal(c), cfg))
-        for c in triples
-    ]
+    generic_cases = [
+        {**_oracle_case(trace_min_two_qubit(rho).value, r),
+         "residual_sumabs_reading": abs(_sumabs_reading(rho) - r.value)}
+        for rho, r in zip(generic, _optimize(generic, cfg, "trace"))]
+    sphere = _optimize([make_bell_diagonal(c) for c in triples], cfg, "trace")
+    sphere_cases = [_oracle_case(float(np.abs(c).max()), r) for c, r in zip(triples, sphere)]
     max_generic = max(c["residual"] for c in generic_cases)
     max_sphere = max(c["residual"] for c in sphere_cases)
     return {

@@ -120,9 +120,25 @@ class TestLocalAction:
             for mat, out in zip(mats, got):
                 np.testing.assert_array_equal(out, _local_action(mat, ops, dims, party))
 
-    def test_rejects_a_state_stack_with_an_operator_batch(self):
-        with pytest.raises(ValueError, match="stack"):
-            _local_action(np.eye(4)[None], np.eye(2)[None, None], (2, 2), "B")
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_paired_stack_matches_one_at_a_time(self, party):
+        # matrix i under operator stack i, bitwise; a stack of one broadcasts
+        rng = np.random.default_rng(5)
+        dims = (3, 2)
+        d = dims[0] if party == "A" else dims[1]
+        mats = np.stack([_random_matrix(rng, 6) for _ in range(4)])
+        batch = np.stack([[_random_matrix(rng, d) for _ in range(2)] for _ in range(4)])
+        got = _local_action(mats, batch, dims, party)
+        assert got.shape == (4, 6, 6)
+        for mat, ops, out in zip(mats, batch, got):
+            np.testing.assert_array_equal(out, _local_action(mat, ops, dims, party))
+        shared = _local_action(mats[:1], batch, dims, party)
+        for ops, out in zip(batch, shared):
+            np.testing.assert_array_equal(out, _local_action(mats[0], ops, dims, party))
+
+    def test_rejects_a_state_stack_with_a_deeper_batch(self):
+        with pytest.raises(ValueError, match="pairs with a batch"):
+            _local_action(np.eye(4)[None], np.eye(2)[None, None, None], (2, 2), "B")
 
     def test_rejects_unknown_party(self):
         with pytest.raises(ValueError, match="party"):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minkit import nonlocality
 from minkit.channels import apply_channel_b, random_channel
 from minkit.linalg import PAULIS, dagger, partial_trace, random_unitary, tensor_product
 from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
@@ -18,6 +19,7 @@ from minkit.nonlocality import (
     METHOD_UNIQUE,
     DimensionLimitError,
     OptimizerConfig,
+    _SUPPORT_TOL,
     _BlockSearch,
     _canonical_axis,
     _haar_starts,
@@ -440,6 +442,19 @@ class TestBatchedOptimize:
         states.insert(6, odd)
         return states
 
+    @staticmethod
+    def _assert_same(got, one):
+        """``got`` is bitwise ``one``: value, method, iterations, axis and projectors."""
+        assert got.value == one.value
+        assert (got.method, got.iterations) == (one.method, one.iterations)
+        if one.axis is None:
+            assert got.axis is None
+        else:
+            np.testing.assert_array_equal(got.axis, one.axis)
+        assert len(got.measurement.projectors) == len(one.measurement.projectors)
+        for p, q in zip(got.measurement.projectors, one.measurement.projectors):
+            np.testing.assert_array_equal(p, q)
+
     @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
     def test_matches_one_call_per_state(self, which):
         states = self._mixed_states()
@@ -447,16 +462,64 @@ class TestBatchedOptimize:
         assert [r.method for r in batch] == [METHOD_UNIQUE] * 2 + [METHOD_SPHERE] + \
             [METHOD_UNIQUE] * 3 + [METHOD_SPHERE] + [METHOD_UNIQUE] * 3
         for rho, got in zip(states, batch):
-            one = _NUMERIC_MIN[which](rho)
-            assert got.value == one.value
-            assert (got.method, got.iterations) == (one.method, one.iterations)
-            if one.axis is None:
-                assert got.axis is None
-            else:
-                np.testing.assert_array_equal(got.axis, one.axis)
-            assert len(got.measurement.projectors) == len(one.measurement.projectors)
-            for p, q in zip(got.measurement.projectors, one.measurement.projectors):
-                np.testing.assert_array_equal(p, q)
+            self._assert_same(got, _NUMERIC_MIN[which](rho))
+
+    @staticmethod
+    def _calls():
+        """One state list per dims, with unique-branch states interleaved:
+        2x2 Bell-diagonal states of rank 4 and 3, one under local unitaries
+        and an x = 0 state that is not Bell-diagonal (the qubit sphere), and
+        one whose start U = I is a critical point below its maximum, so that
+        its pick is not the first start and its best sits below the others';
+        filtered 2x3 states of ranks 3 and 6, so that Bures mixes support
+        ranks; 3x3 Werner and isotropic states (one block of size 3) and
+        split marginals (blocks of size 2 and 1)."""
+        rng = np.random.default_rng(2017)
+        t = np.array([[0.3, 0.1, 0.0], [0.0, -0.2, 0.05], [0.1, 0.0, 0.25]])
+        odd = validate(bloch_matrix(np.zeros(3), np.array([0.0, 0.1, 0.2]), t), (2, 2))
+        two = [make_bell_diagonal([0.45, -0.3, 0.2]), random_density((2, 2), 3, rng),
+               _rotated_bell_diagonal(rng), make_bell_diagonal([0.4, 0.0, 0.6]),
+               random_density((2, 2), 1, rng), odd, random_density((2, 2), 4, rng),
+               make_bell_diagonal([0.05, -0.1, 0.3])]
+        three = [_filtered((2, 3), 3, rng), random_density((2, 3), 4, rng), _filtered((2, 3), 6, rng),
+                 _filtered((2, 3), 3, rng), random_density((2, 3), 2, rng), _filtered((2, 3), 6, rng)]
+        nine = [make_werner(3, 0.3), random_density((3, 3), 4, rng),
+                _split_state((3, 3), (0.4, 0.4, 0.2), 9, rng), make_isotropic(3, 0.6),
+                random_density((3, 3), 9, rng), _split_state((3, 3), (0.4, 0.4, 0.2), 5, rng)]
+        return two, three, nine
+
+    @pytest.mark.parametrize("cfg", [OptimizerConfig(), OptimizerConfig(restarts=2, seed=11)],
+                             ids=["default", "restarts2-seed11"])
+    @pytest.mark.parametrize("which", ["trace", "hs", "bures"])
+    def test_every_search_shape_matches_one_call_per_state(self, which, cfg):
+        two, three, nine = self._calls()
+        assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in (two[0], two[3])} == {4, 3}
+        assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in three[::3]} == {3}
+        assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in three[2::3]} == {6}
+        shapes = {invariant_family(reduced_state(rho, "A")).blocks for rho in nine}
+        assert {((0, 3),), ((0, 2), (2, 1)), ((0, 1), (1, 1), (2, 1))} <= shapes
+        for states, branch in ((two, METHOD_SPHERE), (three, METHOD_SPHERE), (nine, METHOD_BLOCK)):
+            batch = _optimize(states, cfg, which)
+            assert {r.method for r in batch} == {METHOD_UNIQUE, branch}
+            for rho, got in zip(states, batch):
+                self._assert_same(got, _NUMERIC_MIN[which](rho, cfg))
+
+    @pytest.mark.parametrize("audit, args, calls", [
+        (oracle_audit, (6, 3), [(6, "trace"), (3, "trace")]),
+        # Werner d = 2 and isotropic d = 2, Bell-diagonal and 2x2 pure states;
+        # Werner and isotropic d = 3; Werner d = 4; 2x3 pure states
+        (relation_audit, (4, 5), [(27, "hs"), (22, "hs"), (11, "hs"), (1, "hs")]),
+    ], ids=["oracle_audit", "relation_audit"])
+    def test_audits_take_one_call_per_case_set(self, audit, args, calls, monkeypatch):
+        seen = []
+
+        def spy(rhos, cfg, which):
+            seen.append((len(rhos), which))
+            return _optimize(rhos, cfg, which)
+
+        monkeypatch.setattr(nonlocality, "_optimize", spy)
+        assert audit(*args)["passed"] is True
+        assert seen == calls
 
     def test_rejects_mixed_dims(self):
         rng = np.random.default_rng(2016)
@@ -1016,8 +1079,26 @@ def _direct_value(rho, measurement, which):
 
 
 def _search(rho, which, fam):
-    """The block search of one state over its family."""
-    return _BlockSearch(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks)
+    """The block search of one state over its family; for Bures, with the
+    W of rho = W W^dag on its support, as ``_optimize`` takes it."""
+    roots = None
+    if which == "bures":
+        w, v = np.linalg.eigh(rho.mat)
+        rank = int((w > _SUPPORT_TOL * w[-1]).sum())
+        roots = (v[:, -rank:] * np.sqrt(w[-rank:]))[None]
+    return _BlockSearch(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks, roots)
+
+
+def _rows(us):
+    """The state of each row of a one-state search."""
+    return np.zeros(len(us), dtype=int)
+
+
+def _value_at(rho, which, fam, u):
+    """The value of one state at one U, as ``_optimize`` takes it: a unique
+    family at U = I, without a frame."""
+    search = _search(rho, which, fam)
+    return search.values()[0] if fam.kind == "unique" else search.values(u[None], _rows([u]))[0]
 
 
 class TestBlockBranch:
@@ -1082,10 +1163,10 @@ class TestBlockBranch:
             p = 2 * len(search.rows)
             for mu in (1e-3, 1e-6):
                 u = search.rotations(rng.standard_normal((1, p)))
-                _, _, grad = search.smoothed(u, mu)
+                _, _, grad = search.smoothed(u, _rows(u), mu)
                 for x in rng.standard_normal((3, 1, p)):
-                    up = search.smoothed(u @ search.rotations(eps * x), mu)[0]
-                    down = search.smoothed(u @ search.rotations(-eps * x), mu)[0]
+                    up = search.smoothed(u @ search.rotations(eps * x), _rows(u), mu)[0]
+                    down = search.smoothed(u @ search.rotations(-eps * x), _rows(u), mu)[0]
                     slope = float((grad * x).sum())
                     assert abs((up - down)[0] / (2 * eps) - slope) <= 1e-7
 
@@ -1209,8 +1290,7 @@ class TestBuresSupport:
             h = rng.standard_normal(rho.mat.shape) + 1j * rng.standard_normal(rho.mat.shape)
             h = (h + dagger(h)) / 2
             nudged = validate(rho.mat + 1e-15 * h / np.abs(h).max(), rho.dims)
-            value = _search(rho, "bures", fam).value(u)
-            moved = _search(nudged, "bures", fam).value(u)
+            value, moved = (_value_at(r, "bures", fam, u) for r in (rho, nudged))
             assert abs(moved - value) <= 1e-12
             measurement = fam.refined([u] if fam.kind != "unique" else [])
             post = apply_projectors(rho.mat, measurement, rho.db)
