@@ -254,7 +254,8 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
     """Freezing-region report: hexahedra vertices plus an optional sample grid.
 
     With ``resolution > 0`` the cube [-1, 1]^3 is sampled on that many
-    points per axis and every physical triple is classified.
+    points per axis: "points" holds the physical triples (N, 3), "flags"
+    their labels (N,) from ``classify_freezing``; both empty without.
     """
     pos, neg = freezing_vertices(axis)
     grid = np.linspace(-1.0, 1.0, max(resolution, 0))
@@ -265,7 +266,7 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
         "axis": axis,
         "channel": FLIP_LABELS[axis],
         "vertices": {"positive": [list(v) for v in pos], "negative": [list(v) for v in neg]},
-        "samples": [(*p, f) for p, f in zip(points.tolist(), flags.tolist())],
+        "points": points, "flags": flags,
     }
 
 

@@ -87,13 +87,15 @@ def _write_manifest(out_path: str, command: str, config: dict, seed: int, digest
     _write_json(out_path + ".manifest.json", manifest)
 
 
-def _column_text(col: tuple) -> list[str]:
-    """CSV text of one column: floats as ``_FLOAT_CELL``, anything else
-    through ``str``.  In an all-float column each distinct value (by bit
-    pattern, so -0.0 stays apart from 0.0) is formatted once."""
-    if set(map(type, col)) == {float}:
-        bits, where = np.unique(np.array(col).view(np.int64), return_inverse=True)
-        text = np.array([_FLOAT_CELL % v for v in bits.view(np.float64).tolist()], dtype=object)
+def _column_text(col) -> list[str]:
+    """CSV text of one column: floats (``np.float64`` included) as
+    ``_FLOAT_CELL``, anything else through ``str``.  A float64, integer, bool
+    or str array formats each distinct value (a float by bit pattern, so -0.0
+    stays apart from 0.0) once."""
+    if isinstance(col, np.ndarray) and (col.dtype == np.float64 or col.dtype.kind in "biuU"):
+        keys, where = np.unique(col.view(np.int64) if col.dtype == np.float64 else col,
+                                return_inverse=True)
+        text = np.array(_column_text(keys.view(col.dtype).tolist()), dtype=object)
         return text[where.ravel()].tolist()
     return [_FLOAT_CELL % v if isinstance(v, float) else str(v) for v in col]
 
@@ -107,10 +109,11 @@ def _write_text(path: str, text: str) -> None:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write ``rows`` (all of one length) under ``header``, column by column."""
-    cols = [_column_text(col) for col in zip(*rows, strict=True)]
-    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cols))]) + "\n")
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write ``columns`` (arrays or sequences, one per header name) under
+    ``header``; columns of unequal length raise ``ValueError``."""
+    cols = [_column_text(col) for col in columns]
+    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cols, strict=True))]) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -188,10 +191,11 @@ def _cmd_compute(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def surface_rows(level: float, resolution: int) -> list[tuple[float, float, float, int]]:
+def surface_rows(level: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the six faces of the constant-trace-MIN cube clipped to the tetrahedron.
 
-    Face ``2 * axis + k`` holds c[axis] = +level (k = 0) or -level (k = 1).
+    Returns the points (N, 3) and their face ids (N,).  Face ``2 * axis + k``
+    holds c[axis] = +level (k = 0) or -level (k = 1).
     """
     grid = np.linspace(-level, level, resolution)
     square = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -200,17 +204,17 @@ def surface_rows(level: float, resolution: int) -> list[tuple[float, float, floa
     )
     keep = bell_diagonal_weights(faces).min(axis=-1) >= -1e-12
     face_ids = np.broadcast_to(np.arange(6)[:, None], keep.shape)
-    return list(zip(*faces[keep].T.tolist(), face_ids[keep].tolist()))
+    return faces[keep], face_ids[keep]
 
 
 def _cmd_surface(args) -> int:
     if not 0.0 < args.level <= 1.0:
         raise _InputError(f"level must lie in (0, 1], got {args.level}")
-    rows = surface_rows(args.level, args.resolution)
-    _write_csv(args.out, ["c1", "c2", "c3", "face_id"], rows)
+    points, face_ids = surface_rows(args.level, args.resolution)
+    _write_csv(args.out, ["c1", "c2", "c3", "face_id"], [*points.T, face_ids])
     params = {"level": args.level, "resolution": args.resolution}
     _write_manifest(args.out, "surface", params, args.seed, _params_digest(params))
-    print(f"surface level {args.level}: {len(rows)} points -> {args.out}")
+    print(f"surface level {args.level}: {len(face_ids)} points -> {args.out}")
     return 0
 
 
@@ -221,16 +225,12 @@ def _cmd_surface(args) -> int:
 
 def _cmd_region(args) -> int:
     report = freezing_region(args.axis, resolution=args.resolution)
-    _write_csv(args.out, ["c1", "c2", "c3", "flag"], report["samples"])
-    sidecar = {
-        "axis": report["axis"],
-        "channel": report["channel"],
-        "vertices": report["vertices"],
-    }
+    _write_csv(args.out, ["c1", "c2", "c3", "flag"], [*report["points"].T, report["flags"]])
+    sidecar = {key: report[key] for key in ("axis", "channel", "vertices")}
     _write_json(args.out + ".vertices.json", sidecar)
     params = {"axis": args.axis, "resolution": args.resolution}
     _write_manifest(args.out, "region", params, args.seed, _params_digest(params))
-    print(f"freezing region axis {args.axis}: {len(report['samples'])} samples -> {args.out}")
+    print(f"freezing region axis {args.axis}: {len(report['flags'])} samples -> {args.out}")
     return 0
 
 
@@ -252,11 +252,8 @@ def _cmd_sweep(args) -> int:
         raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     times = np.linspace(0.0, args.tmax, args.grid)
     trace = dynamics_sweep(c0, args.axis, args.sided, times)
-    rows = [
-        (float(t), float(c[0]), float(c[1]), float(c[2]), float(n1), float(n2))
-        for t, c, n1, n2 in zip(trace.times, trace.c_t, trace.n1_t, trace.n2_t)
-    ]
-    _write_csv(args.out, ["gamma_t", "c1", "c2", "c3", "n1", "n2"], rows)
+    columns = [trace.times, *trace.c_t.T, trace.n1_t, trace.n2_t]
+    _write_csv(args.out, ["gamma_t", "c1", "c2", "c3", "n1", "n2"], columns)
     params = {
         "c0": [float(v) for v in c0],
         "axis": args.axis,
@@ -265,7 +262,7 @@ def _cmd_sweep(args) -> int:
         "tmax": args.tmax,
     }
     _write_manifest(args.out, "sweep", params, args.seed, _params_digest(params))
-    print(f"sweep {trace.channel} ({args.sided}-sided): {len(rows)} points -> {args.out}")
+    print(f"sweep {trace.channel} ({args.sided}-sided): {len(trace.times)} points -> {args.out}")
     return 0
 
 

@@ -46,13 +46,14 @@ def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
     """Sum_k (K_k x I) mat (K_k x I)^dag (party "A") or (I x K_k) ... (party "B").
 
     ``ops`` is a stack (k, d, d) of operators on that party, or a batch of
-    stacks (N, k, d, d), which gives N outputs.  ``mat`` is one matrix or a
-    stack (N, n, n), which gives N outputs under the same operators; a stack
-    with a batch pairs matrix i with operator stack i.  Each output is
-    bitwise the one that matrix gives alone.  Works on the (dA, dB, dA, dB)
-    reshape of ``mat``: the left factor is one matrix product for the whole
-    batch, or one per pair, the right factor one ``einsum``; no operator is
-    lifted to the full space.
+    stacks (N, k, d, d), which gives N outputs; on party "A" they may be
+    rectangular, (k, s, dA), which gives outputs (s dB) x (s dB).  ``mat``
+    is one matrix or a stack (N, n, n), which gives N outputs under the
+    same operators; a stack with a batch pairs matrix i with operator stack
+    i.  Each output is bitwise the one that matrix gives alone.  Works on
+    the (dA, dB, dA, dB) reshape of ``mat``: the left factor is one matrix
+    product for the whole batch, or one per pair, the right factor one
+    ``einsum``; no operator is lifted to the full space.
     """
     da, db = dims
     n = da * db
@@ -65,7 +66,7 @@ def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
     if party == "A":
         # left[..., k, a, b, d, e] = sum_c K[a, c] mat[(c, b), (d, e)]
         left = ops.reshape(pre + (-1, da)) @ mat.reshape(stack + (da, db * n))
-        left = left.reshape(outer + (n, da, db))
+        left = left.reshape(outer + (-1, da, db))
         out = np.einsum("...kfd,...kxde->...xfe", ops.conj(), left)
     elif party == "B":
         # left[..., k, b, a, (d, e)] = sum_c K[b, c] mat[(a, c), (d, e)]
@@ -74,7 +75,7 @@ def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
         out = np.einsum("...kbade,...kfe->...abdf", left, ops.conj())
     else:
         raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    return out.reshape(outer[:-1] + (n, n))
+    return out.reshape(outer[:-1] + (out.shape[-2] * out.shape[-1],) * 2)
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarray:
@@ -146,11 +147,11 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
     w, v = w[..., ::-1].copy(), v[..., ::-1]
     # first component above 1e-8 of each column; a unit vector always has one
     lead = (np.abs(v) > 1e-8).argmax(axis=-2)
-    # column by column, as numpy scalars: the array division of a complex by
-    # its real modulus can differ from the scalar one in the last bit
+    # the modulus by hypot: np.abs of a complex array can differ from the
+    # scalar abs in the last bit, hypot does not
     cols = v.swapaxes(-1, -2).reshape(-1, v.shape[-1])
     heads = cols[np.arange(len(cols)), lead.ravel()]
-    phase = np.array([h / abs(h) for h in heads]).reshape(lead.shape)
+    phase = (heads / np.hypot(heads.real, heads.imag)).reshape(lead.shape)
     return HermEig(eigenvalues=w, eigenvectors=v / phase[..., None, :])
 
 

@@ -446,11 +446,12 @@ class _BlockSearch:
             self.flat_eye = np.eye(self.da, dtype=complex).ravel()
 
     def frames(self, us: np.ndarray, state: np.ndarray) -> np.ndarray:
-        """rho~ of each row, shaped (k, dA, dB, dA, dB)."""
+        """rho~ of each row, shaped (k, s, dB, s, dB) for ``us`` (k, dA, s):
+        with s < dA the rows and columns of rho~ on those s columns of U."""
         self.evals += len(us) if len(self.rho) == 1 else np.bincount(state, minlength=len(self.rho))
         rho = self.rho[0] if len(self.rho) == 1 else self.rho[state]  # one state: no gather
         out = _local_action(rho, dagger(us)[:, None], self.dims, "A")
-        return out.reshape((len(us),) + self.dims * 2)
+        return out.reshape((len(us),) + (us.shape[-1], self.dims[1]) * 2)
 
     def _spectral(self, us: np.ndarray, rt: np.ndarray, state: np.ndarray | None = None):
         """The matrix whose eigenvalues give the value of each frame, and W~:
@@ -484,7 +485,8 @@ class _BlockSearch:
 
         Within span{i, j} the new projectors are (I +- n.sigma)/2, and the
         summed squared diagonal blocks are a constant plus n.G.n / 2 with
-        G = ``_pauli_gram`` of that pair, so the exact step is the least
+        G = ``_pauli_gram`` of that pair (which reads U's two pair columns
+        only, so only they are framed); the exact step is the least
         eigenvector of G.  A step whose gain is round-off is not taken, and
         a state's sweeps stop once one gains at most ``tol``.
         """
@@ -494,7 +496,7 @@ class _BlockSearch:
             gain = [0.0] * len(live)
             lu = u if len(live) == len(u) else u[live]  # the live rows, no copy while all are
             for pair in self.pairs:
-                g = _pauli_gram(_pauli_blocks(self.frames(lu, live)[:, pair][:, :, :, pair]))
+                g = _pauli_gram(_pauli_blocks(self.frames(lu[:, :, pair], live)))
                 w, v = np.linalg.eigh(g)
                 for r in range(len(live)):  # each row's step, as it takes it alone
                     step = (g[r, 2, 2] - w[r, 0]) / 2
@@ -631,16 +633,18 @@ class _BlockSearch:
         return us.reshape(starts.shape)[np.arange(n), first]
 
 
-def _haar_starts(blocks, da: int, count: int, rng: np.random.Generator) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _haar_starts(blocks, da: int, count: int, seed: int) -> np.ndarray:
     """``count`` block-diagonal Haar unitaries (count, dA, dA), I on blocks of size 1.
 
-    The draws are those of ``random_unitary`` start by start, then block by
-    block (the real, then the imaginary part of each Ginibre matrix), taken
-    in one ``standard_normal`` call; each block size takes one stacked QR.
+    The draws are those of ``random_unitary`` from ``default_rng(seed)``,
+    start by start, then block by block (the real, then the imaginary part
+    of each Ginibre matrix), in one ``standard_normal`` call; each block
+    size takes one stacked QR.  Memoized: one read-only array per argument set.
     """
     free = [(off, size) for off, size in blocks if size >= 2]
     at = np.cumsum([0] + [2 * size * size for _, size in free])
-    draws = rng.standard_normal((count, at[-1]))
+    draws = np.random.default_rng(seed).standard_normal((count, at[-1]))
     out = np.tile(np.eye(da, dtype=complex), (count, 1, 1))
     for size in sorted({size for _, size in free}):
         picks = [(off, a) for (off, s), a in zip(free, at) if s == size]
@@ -652,6 +656,7 @@ def _haar_starts(blocks, da: int, count: int, rng: np.random.Generator) -> np.nd
         q = q * (d / np.abs(d))[..., None, :]
         for j, (off, _) in enumerate(picks):
             out[:, off : off + size, off : off + size] = q[:, j]
+    out.flags.writeable = False
     return out
 
 
@@ -699,8 +704,7 @@ def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> li
             method = METHOD_SPHERE if kind == KIND_QUBIT_SPHERE else METHOD_BLOCK
             u = search.jacobi(cfg.tol)
             if which != "hs":
-                rng = np.random.default_rng(cfg.seed)
-                haar = _haar_starts(blocks, dims[0], 2 * cfg.restarts, rng)
+                haar = _haar_starts(blocks, dims[0], 2 * cfg.restarts, cfg.seed)
                 starts = np.empty((len(u), 2 + len(haar)) + u.shape[1:], dtype=complex)
                 starts[:, 0], starts[:, 1], starts[:, 2:] = np.eye(dims[0]), u, haar
                 u = search.ascend(starts, cfg.tol)

@@ -356,12 +356,14 @@ def detect_family(rho: DensityMatrix, tol: float = 1e-9) -> tuple[str, dict]:
 
     Returns the family name plus the parameters needed by the closed-form
     evaluators.  Detection order is fixed; each test compares the defining
-    residual against ``tol``.
+    residual against ``tol``, after a cheaper necessary condition: purity
+    for "pure", rho_A near a multiple of I for "werner" and "isotropic".
     """
     mat = rho.mat
     da, db = rho.dims
-    eig = hermitian_eig(mat)
-    if eig.eigenvalues[0] >= 1.0 - tol:
+    # lambda_max^2 <= tr rho^2 = sum |rho_ij|^2; the slack covers round-off
+    may_be_pure = np.vdot(mat, mat).real >= max(1.0 - tol, 0.0) ** 2 - 1e-12
+    if may_be_pure and (eig := hermitian_eig(mat)).eigenvalues[0] >= 1.0 - tol:
         v = eig.eigenvectors[:, 0]
         v = v / np.linalg.norm(v)
         if np.abs(mat - np.outer(v, v.conj())).max() <= 10 * tol:
@@ -378,6 +380,11 @@ def detect_family(rho: DensityMatrix, tol: float = 1e-9) -> tuple[str, dict]:
             return "bell_diagonal", {"c": form.c}
     if da == db:
         d = da
+        # both models have rho_A = c I; a residual of tol moves rho_A by <= d tol entrywise
+        ra = partial_trace(mat, rho.dims, "B")
+        diag = ra.diagonal().real
+        if max(np.ptp(diag) / 2, np.abs(ra - np.diag(diag)).max()) > d * tol * (1 + 1e-9) + 1e-12:
+            return "generic", {}
         swap = swap_operator(d)
         # Least-squares projection onto span{I, SWAP}; Gram entries Tr I = d^2,
         # Tr SWAP = d.

@@ -257,9 +257,9 @@ class TestFreezingRegion:
     def test_sampled_report(self):
         report = freezing_region(3, resolution=9)
         assert report["channel"] == "phase_flip"
-        assert report["samples"]
-        for c1, c2, c3, flag in report["samples"]:
-            assert flag == classify_freezing([c1, c2, c3], 3)
+        assert len(report["points"]) == len(report["flags"]) > 0
+        for c, flag in zip(report["points"], report["flags"]):
+            assert flag == classify_freezing(c, 3)
 
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_batched_labels_match_row_by_row(self, axis):
@@ -277,11 +277,14 @@ class TestFreezingRegion:
     @pytest.mark.parametrize("axis", [1, 2, 3])
     def test_rows_match_per_point_loop(self, axis, resolution):
         points = _physical_lattice(resolution)
-        expected = [(*c, classify_freezing(np.array(c), axis)) for c in points]
-        assert freezing_region(axis, resolution=resolution)["samples"] == expected
+        report = freezing_region(axis, resolution=resolution)
+        assert report["points"].dtype == np.float64 and report["points"].shape == (len(points), 3)
+        assert list(map(tuple, report["points"].tolist())) == list(points)
+        assert report["flags"].tolist() == [classify_freezing(np.array(c), axis) for c in points]
 
     def test_empty_without_resolution(self):
-        assert freezing_region(3)["samples"] == []
+        report = freezing_region(3)
+        assert report["points"].shape == (0, 3) and report["flags"].shape == (0,)
 
 
 @functools.lru_cache(maxsize=None)

@@ -188,14 +188,14 @@ class TestSurface:
             )
 
     def test_low_level_has_no_clipping(self):
-        rows = surface_rows(0.3, 11)
-        assert len(rows) == 6 * 11 * 11
+        points, face_ids = surface_rows(0.3, 11)
+        assert points.shape == (6 * 11 * 11, 3) and face_ids.shape == (6 * 11 * 11,)
 
     def test_unit_level_degenerates_to_edges(self):
-        rows = surface_rows(1.0, 21)
-        assert rows
-        for c1, c2, c3, _ in rows:
-            weights = np.sort(bell_diagonal_weights(np.array([c1, c2, c3])))
+        points, _ = surface_rows(1.0, 21)
+        assert len(points)
+        for c in points:
+            weights = np.sort(bell_diagonal_weights(c))
             # on a tetrahedron edge two of the four Bell weights vanish
             assert np.all(weights[:2] <= 1e-9)
 
@@ -217,7 +217,9 @@ class TestSurface:
                         if in_tetrahedron(c, tol=1e-12):
                             expected.append((float(c[0]), float(c[1]), float(c[2]), face))
                 face += 1
-        assert surface_rows(level, resolution) == expected
+        points, face_ids = surface_rows(level, resolution)
+        assert points.dtype == np.float64 and face_ids.dtype.kind == "i"
+        assert list(zip(*points.T.tolist(), face_ids.tolist())) == expected
 
     def test_rejects_out_of_range_level(self, capsys):
         assert main(["surface", "--level", "1.5", "--out", "/tmp/x.csv"]) == 2
@@ -378,9 +380,12 @@ class TestCsv:
     """Every cell reads as ``f"{v:.12g}"`` for a float and ``str(v)`` otherwise."""
 
     @staticmethod
-    def _per_cell(header, rows):
+    def _per_cell(header, columns):
+        # array columns cell by cell, as the Python values of ``tolist``
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         lines = [",".join(header)]
-        lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in r) for r in rows]
+        lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in r)
+                  for r in zip(*cols)]
         return "\n".join(lines) + "\n"
 
     def test_cells_match_per_cell_formatting(self, tmp_path):
@@ -388,19 +393,33 @@ class TestCsv:
         edge = [0.0, -0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e300, 0.1]
         floats = edge + rng.standard_normal(40).tolist() + [0.1, -0.0, 0.0]
         mixed = [1, 2.5, True, "x", np.float64(-0.0), None]
-        rows = [
-            (floats[i], -floats[-1 - i], np.float64(floats[i]), i, mixed[i % len(mixed)])
-            for i in range(len(floats))
+        n = len(floats)
+        header = ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+        columns = [
+            np.array(floats),  # float64 arrays: each distinct bit pattern once
+            -np.array(floats[::-1])[::2].repeat(2)[:n],
+            [-v for v in floats[::-1]],  # sequences: cell by cell
+            [np.float64(v) for v in floats],
+            np.arange(n) - 3,
+            np.arange(n) % 3 == 0,
+            np.array(["outside", "boundary", "inside"])[np.arange(n) % 3],
+            list(range(n)),
+            [mixed[i % len(mixed)] for i in range(n)],
         ]
         path = tmp_path / "t.csv"
-        minkit.cli._write_csv(str(path), ["a", "b", "c", "d", "e"], rows)
-        assert path.read_text() == self._per_cell(["a", "b", "c", "d", "e"], rows)
-        minkit.cli._write_csv(str(path), ["a"], [])
+        minkit.cli._write_csv(str(path), header, columns)
+        assert path.read_text() == self._per_cell(header, columns)
+        minkit.cli._write_csv(str(path), ["a"], [[]])
         assert path.read_text() == "a\n"
+        minkit.cli._write_csv(str(path), ["a", "b"], [np.empty(0), np.empty(0, dtype=int)])
+        assert path.read_text() == "a,b\n"
 
     def test_rows_of_unequal_length_are_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            minkit.cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [(1.0, 2.0), (3.0,)])
+        path = tmp_path / "t.csv"
+        for columns in ([np.array([1.0, 2.0]), [3.0]], [[1.0], np.array([2.0, 3.0])]):
+            with pytest.raises(ValueError):
+                minkit.cli._write_csv(str(path), ["a", "b"], columns)
+        assert not path.exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -136,6 +136,23 @@ class TestLocalAction:
         for ops, out in zip(batch, shared):
             np.testing.assert_array_equal(out, _local_action(mats[0], ops, dims, party))
 
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3), (4, 2)])
+    def test_column_frames_match_a_full_frame_slice(self, dims):
+        # (U^dag x I) rho (U x I) on columns s of U is the (s, s) block of the
+        # full frame, bitwise: one state under a batch of U's, and paired rows
+        rng = np.random.default_rng(6)
+        da, db = dims
+        mats = np.stack([_random_density(rng, da * db) for _ in range(3)])
+        us = np.stack([random_unitary(da, rng) for _ in range(3)])
+        full = _local_action(mats, dagger(us)[:, None], dims, "A").reshape(3, da, db, da, db)
+        alone = _local_action(mats[0], dagger(us)[:, None], dims, "A").reshape(3, da, db, da, db)
+        for cols in [[i, j] for i in range(da) for j in range(i + 1, da)] + [list(range(da))]:
+            s = len(cols)
+            for stack, frames in ((mats, full), (mats[0], alone)):
+                got = _local_action(stack, dagger(us[:, :, cols])[:, None], dims, "A")
+                want = frames[:, cols][:, :, :, cols].reshape(3, s * db, s * db)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_rejects_a_state_stack_with_a_deeper_batch(self):
         with pytest.raises(ValueError, match="pairs with a batch"):
             _local_action(np.eye(4)[None], np.eye(2)[None, None, None], (2, 2), "B")
@@ -251,33 +268,36 @@ class TestHermitianEig:
 
     def test_phases_match_column_loop(self):
         # reference: each column divided by the phase of its first
-        # component above 1e-8, one column at a time; the eigenbasis feeds
-        # the numeric optimizers, so the result must agree to the last bit,
-        # for one matrix and for each matrix of a stack
+        # component above 1e-8, one column at a time, with the scalar abs;
+        # the eigenbasis feeds the numeric optimizers, so the result must
+        # agree to the last bit (signed zeros included), for one matrix and
+        # for each matrix of a stack
         rng = np.random.default_rng(9)
         stacks = {}
-        for k in range(200):
-            n = 1 + k % 6
+        for k in range(400):
+            n = 1 + k % 8
             m = _random_hermitian(rng, n)
-            if k % 4 == 1:
+            if k % 5 == 1:
                 m = m.real
-            elif k % 4 == 2:
+            elif k % 5 == 2:
                 m = np.diag(rng.standard_normal(n)).astype(complex)
-            elif k % 4 == 3:
+            elif k % 5 == 3:
                 u = random_unitary(n, rng)
                 m = (u * np.repeat(rng.random(n), 2)[:n]) @ dagger(u)
+            elif k % 5 == 4:
+                m = m * 1e-9
             v = np.linalg.eigh((m + dagger(m)) / 2)[1][:, ::-1].copy()
             for j in range(n):
                 col = v[:, j]
                 lead = col[np.flatnonzero(np.abs(col) > 1e-8)[0]]
                 v[:, j] = col / (lead / abs(lead))
-            np.testing.assert_array_equal(hermitian_eig(m).eigenvectors, v)
+            assert hermitian_eig(m).eigenvectors.tobytes() == v.tobytes()
             # a real matrix takes the real eigensolver, so real ones stack apart
             stacks.setdefault((n, m.dtype), []).append((m, v))
         for pairs in stacks.values():
             eig = hermitian_eig(np.stack([m for m, _ in pairs]))
             for vectors, (m, v) in zip(eig.eigenvectors, pairs):
-                np.testing.assert_array_equal(vectors, v)
+                assert vectors.tobytes() == v.tobytes()
 
     def test_stack_matches_one_at_a_time(self):
         rng = np.random.default_rng(10)

@@ -532,16 +532,18 @@ class TestHaarStarts:
     def test_match_the_per_start_loop(self):
         # blocks of two sizes, the size-2 ones apart: the draws go start by
         # start and block by block, as one random_unitary call each did
+        # from default_rng(seed); memoized, so one read-only array per key
         blocks, da, count = ((0, 2), (2, 3), (5, 1), (6, 2)), 8, 6
-        rng, again = np.random.default_rng(77), np.random.default_rng(77)
-        got = _haar_starts(blocks, da, count, rng)
+        got = _haar_starts(blocks, da, count, 77)
+        again = np.random.default_rng(77)
         expected = np.tile(np.eye(da, dtype=complex), (count, 1, 1))
         for start in expected:
             for off, size in blocks:
                 if size >= 2:
                     start[off : off + size, off : off + size] = random_unitary(size, again)
-        np.testing.assert_array_equal(got, expected)
-        assert rng.standard_normal() == again.standard_normal()
+        assert got.tobytes() == expected.tobytes()
+        assert _haar_starts(blocks, da, count, 77) is got and not got.flags.writeable
+        assert _haar_starts(blocks, da, count, 78).tobytes() != got.tobytes()
 
 
 class TestRelationReport:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minkit.linalg import PAULIS, dagger, hs_norm, random_unitary, tensor_product
+from minkit.linalg import PAULIS, dagger, hermitian_eig, hs_norm, random_unitary, tensor_product
 from minkit.nonlocality import trace_min_numeric, trace_min_pure
 from minkit.states import (
     StateFormatError,
@@ -20,6 +20,7 @@ from minkit.states import (
     make_bell_diagonal,
     make_isotropic,
     make_werner,
+    max_entangled,
     pure_state,
     random_bell_triple,
     random_density,
@@ -28,6 +29,7 @@ from minkit.states import (
     schmidt,
     schmidt_reconstruct,
     state_from_json,
+    swap_operator,
     validate,
 )
 
@@ -379,6 +381,79 @@ class TestDetectFamily:
         assert name == "isotropic"
         assert params["x"] == pytest.approx(0.4, abs=1e-9)
         assert detect_family(random_density((2, 2), 4, 7))[0] == "generic"
+
+    @staticmethod
+    def _every_test_in_order(rho, tol):
+        """The family tests in their fixed order, each one always run."""
+        mat, (da, db) = rho.mat, rho.dims
+        eig = hermitian_eig(mat)
+        if eig.eigenvalues[0] >= 1.0 - tol:
+            v = eig.eigenvectors[:, 0] / np.linalg.norm(eig.eigenvectors[:, 0])
+            if np.abs(mat - np.outer(v, v.conj())).max() <= 10 * tol:
+                return "pure", {"schmidt": schmidt(pure_state(v, rho.dims))}
+        if rho.dims == (2, 2):
+            form = bloch_decompose(rho)
+            off = form.t - np.diag(np.diagonal(form.t))
+            if max(np.linalg.norm(form.x), np.linalg.norm(form.y), np.abs(off).max()) <= tol:
+                return "bell_diagonal", {"c": form.c}
+        if da == db:
+            d, swap = da, swap_operator(da)
+            gram = np.array([[d * d, d], [d, d * d]], dtype=float)
+            a, b = np.linalg.solve(gram, [np.trace(mat).real, np.trace(mat @ swap).real])
+            x = (b * (d**3 - d) + 1) / d
+            residual = np.abs(mat - a * np.eye(d * d) - b * swap).max()
+            if residual <= tol and -1.0 - 1e-9 <= x <= 1.0 + 1e-9:
+                return "werner", {"d": d, "x": float(np.clip(x, -1.0, 1.0))}
+            phi = max_entangled(d)
+            x = float((phi.conj() @ mat @ phi).real)
+            if -1e-9 <= x <= 1.0 + 1e-9:
+                xc = float(np.clip(x, 0.0, 1.0))
+                proj = np.outer(phi, phi.conj())
+                model = (1 - xc) / (d * d - 1) * np.eye(d * d)
+                model = model + (d * d * xc - 1) / (d * d - 1) * proj
+                if np.abs(mat - model).max() <= tol:
+                    return "isotropic", {"d": d, "x": xc}
+        return "generic", {}
+
+    def test_cheap_skips_match_every_test_in_order(self):
+        # Werner, isotropic, Bell-diagonal, pure, nearly pure and random
+        # states, and each pushed off its family by 3e-10 to 1e-8 (a traceless
+        # Hermitian kick): the same family and bitwise the same parameters
+        rng = np.random.default_rng(918)
+        base = [make_werner(d, x) for d in (2, 3, 4) for x in (-1.0, -0.3, 0.0, 1 / d, 0.6, 1.0)]
+        base += [make_isotropic(d, x) for d in (2, 3, 4) for x in (0.0, 1 / d**2, 0.5, 1.0)]
+        base += [make_bell_diagonal(random_bell_triple(rng)) for _ in range(4)]
+        pure = [density_from_pure(random_pure(dims, rng)) for dims in ((2, 2), (2, 3), (3, 3))]
+        base += pure
+        # mixed by p in (tol / 2, tol): lambda_max >= 1 - tol with purity below 1 - tol
+        base += [validate((1 - p) * rho.mat + p * np.eye(len(rho.mat)) / len(rho.mat), rho.dims)
+                 for rho in pure for p in (7.5e-11, 7.5e-10, 7.5e-9)]
+        base += [random_density(dims, r, rng) for dims in ((2, 2), (3, 3)) for r in (2, 3, 4)]
+        states = list(base)
+        for rho in base:
+            n = rho.mat.shape[0]
+            for eps in (3e-10, 1e-9, 3e-9, 1e-8):
+                kick = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                kick = kick + dagger(kick) - 2 * np.trace(kick).real / n * np.eye(n)
+                try:
+                    states.append(validate(rho.mat + eps * kick / np.abs(kick).max(), rho.dims))
+                except StateInvariantError:
+                    pass  # a kick off a pure state can leave the PSD cone
+        seen = set()
+        for rho in states:
+            for tol in (1e-10, 1e-9, 1e-8):
+                name, params = detect_family(rho, tol)
+                ref_name, ref_params = self._every_test_in_order(rho, tol)
+                assert name == ref_name
+                seen.add(name)
+                for key, value in ref_params.items():
+                    got = params[key]
+                    if key == "schmidt":
+                        for field in ("coefficients", "basis_a", "basis_b"):
+                            assert getattr(got, field).tobytes() == getattr(value, field).tobytes()
+                    else:
+                        assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
+        assert seen == {"pure", "bell_diagonal", "werner", "isotropic", "generic"}
 
 
 class TestStateIO:
