@@ -17,6 +17,7 @@ from .nonlocality import OptimizerConfig, _bell_diagonal_value, _optimize
 from .states import (
     DensityMatrix,
     StateInvariantError,
+    _as_rng,
     _ginibre_density,
     bell_diagonal_weights,
     in_tetrahedron,
@@ -114,7 +115,7 @@ def random_channel(d: int, kraus_count: int, seed) -> KrausChannel:
     """Random CPTP channel from the column partition of a Haar isometry."""
     if kraus_count < 1:
         raise ValueError("kraus_count must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     g = rng.standard_normal((d * kraus_count, d)) + 1j * rng.standard_normal((d * kraus_count, d))
     q, r = np.linalg.qr(g)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
@@ -275,12 +276,8 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def monotonicity_audit(
-    n_states: int,
-    n_channels: int,
-    seed: int,
-    cfg: OptimizerConfig | None = None,
-) -> dict:
+def monotonicity_audit(n_states: int, n_channels: int, seed: int,
+                       cfg: OptimizerConfig | None = None) -> dict:
     """Verify that channels on B never increase the trace MIN.
 
     Runs every (state, channel) pair from seeded ensembles of two-qubit
@@ -307,19 +304,10 @@ def monotonicity_audit(
     cases = []
     for k, after in enumerate(afters):
         i, ch = divmod(k, n_channels)
-        before = befores[i]
-        increase = after - before
-        cases.append(
-            {
-                "state": i,
-                "channel": channels[ch].label,
-                "before": before,
-                "after": after,
-                "increase": increase,
-                "tolerance": MONOTONICITY_TOL,
-                "violation": bool(increase > MONOTONICITY_TOL),
-            }
-        )
+        increase = after - befores[i]
+        cases.append({"state": i, "channel": channels[ch].label, "before": befores[i],
+                      "after": after, "increase": increase, "tolerance": MONOTONICITY_TOL,
+                      "violation": bool(increase > MONOTONICITY_TOL)})
     violations = [c for c in cases if c["violation"]]
     return {
         "pairs": len(cases),

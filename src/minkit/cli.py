@@ -302,16 +302,12 @@ def _positive_int(text: str) -> int:
 
 
 def _add_optimizer_flags(sub) -> None:
-    sub.add_argument("--restarts", type=int, default=4, help="optimizer restarts")
-    sub.add_argument("--tol", type=float, default=1e-10, help="optimizer stopping tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed")
-    sub.add_argument(
-        "--degeneracy-tol",
-        dest="degeneracy_tol",
-        type=float,
-        default=1e-8,
-        help="eigenvalue-gap threshold separating the unique and degenerate branches",
-    )
+    cfg = OptimizerConfig()  # the defaults
+    sub.add_argument("--restarts", type=int, default=cfg.restarts, help="optimizer restarts")
+    sub.add_argument("--tol", type=float, default=cfg.tol, help="optimizer stopping tolerance")
+    sub.add_argument("--seed", type=int, default=cfg.seed, help="RNG seed")
+    sub.add_argument("--degeneracy-tol", type=float, default=cfg.degeneracy_tol,
+                     help="eigenvalue-gap threshold separating the unique and degenerate branches")
 
 
 def build_parser() -> argparse.ArgumentParser:

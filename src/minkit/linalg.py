@@ -15,6 +15,9 @@ import numpy as np
 # anything more negative is treated as genuine non-positivity.
 PSD_CLAMP = 1e-10
 HERMITIAN_TOL = 1e-10
+# Eigenvalues of a PSD matrix at most this fraction of its largest lie
+# outside the support on which the fidelity is taken.
+_SUPPORT_TOL = 1e-12
 
 # Pauli matrices, indexed 0..2 (x, y, z).
 PAULIS = np.array(
@@ -106,9 +109,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarra
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values.
 
-    Hermitian inputs (the only case the nonlocality measures produce) go
-    through the eigenvalue route, which is symmetric and cheap; anything
-    else falls back to a full SVD.
+    Hermitian inputs go through the eigenvalue route, which is symmetric
+    and cheap; anything else falls back to a full SVD.
     """
     if m.shape[0] == m.shape[1] and is_hermitian(m, 1e-10 * max(1.0, np.abs(m).max(initial=0.0))):
         return float(np.abs(np.linalg.eigvalsh(m)).sum())
@@ -172,20 +174,31 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (out + dagger(out)) / 2
 
 
+def support_roots(mats: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ascending eigenvalues (N, n) of a stack of PSD matrices (N, n, n), and
+    per matrix W (n, rank) with mat = W W^dag on its support, the eigenvalues
+    above ``_SUPPORT_TOL`` times the largest; ``eigh`` reads lower triangles."""
+    w, v = np.linalg.eigh(mats)
+    n, ranks = w.shape[-1], (w > _SUPPORT_TOL * w[:, -1:]).sum(-1).tolist()
+    return w, [vk[:, n - r :] * np.sqrt(wk[n - r :]) for wk, vk, r in zip(w, v, ranks)]
+
+
+def support_fidelity(roots: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Fidelity of rho = W W^dag and sigma on the support of rho, for stacks W
+    (..., n, r) and sigma (..., n, n): [sum sqrt(max(c, 0))]^2, capped at 1,
+    over the eigenvalues c of W^dag sigma W."""
+    c = np.linalg.eigvalsh(dagger(roots) @ sigma @ roots)
+    return np.minimum(np.sqrt(np.maximum(c, 0.0)).sum(-1) ** 2, 1.0)
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2`` in [0, 1]."""
+    """Uhlmann fidelity ``[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2`` in [0, 1] of a
+    Hermitian PSD rho, on its support by ``support_fidelity``, as Bures MIN is."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    s = psd_sqrt(rho)
-    inner = s @ sigma @ s
-    w = np.linalg.eigvalsh((inner + dagger(inner)) / 2)
-    val = float(np.sqrt(np.clip(w, 0.0, None)).sum()) ** 2
-    return float(min(max(val, 0.0), 1.0))
-
-
-def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed n x n unitary (QR of a complex Ginibre matrix)."""
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    if not is_hermitian(rho):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, (root,) = support_roots(rho[None])
+    if w.min() < -PSD_CLAMP * max(1.0, float(np.abs(w).max())):
+        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}, not PSD")
+    return float(support_fidelity(root, sigma))

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, partial_trace
+from .linalg import PAULIS, _local_action, dagger, partial_trace, support_fidelity, support_roots
 from .measurements import (
+    DEGENERACY_TOL,
     KIND_QUBIT_SPHERE,
     KIND_UNIQUE,
     LocalMeasurement,
@@ -51,10 +52,6 @@ from .states import (
 
 # Practical bound on dA * dB for the numeric optimizers.
 DIM_LIMIT = 64
-
-# Eigenvalues of rho at most this fraction of the largest lie outside the
-# support on which the Bures fidelity is computed.
-_SUPPORT_TOL = 1e-12
 
 METHOD_CLOSED = "ClosedForm"
 METHOD_UNIQUE = "NumericUnique"
@@ -91,7 +88,7 @@ class OptimizerConfig:
     restarts: int = 4
     tol: float = 1e-10
     seed: int = 0
-    degeneracy_tol: float = 1e-8
+    degeneracy_tol: float = DEGENERACY_TOL
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
@@ -156,7 +153,7 @@ def max_entangled_trace_min(m: int) -> float:
     return 2.0 * (m - 1) / m
 
 
-def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> MinResult:
+def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_TOL) -> MinResult:
     """Trace MIN of an arbitrary two-qubit state, in closed form.
 
     With local vector x and correlation tensor T, the disturbance of the
@@ -170,7 +167,7 @@ def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> Min
     return MinResult(value=_two_qubit_value(rho, True, degenerate_tol), method=METHOD_CLOSED)
 
 
-def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = 1e-8) -> MinResult:
+def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_TOL) -> MinResult:
     """HS MIN of an arbitrary two-qubit state, in closed form.
 
     The squared Hilbert-Schmidt norm of the disturbance along e is
@@ -225,7 +222,8 @@ def _check_family_args(d: int, x: float, low: float) -> None:
         raise ValueError("d must be >= 2" if d < 2 else f"x must lie in [{low:g}, 1], got {x}")
 
 
-def closed_form(rho: DensityMatrix, measure: str, degeneracy_tol: float = 1e-8) -> float | None:
+def closed_form(rho: DensityMatrix, measure: str,
+                degeneracy_tol: float = DEGENERACY_TOL) -> float | None:
     """Closed-form value of ``measure`` when the state's family has one.
 
     ``measure`` is "n1" (trace MIN), "n2" (HS MIN) or "nb" (Bures MIN, which
@@ -416,8 +414,9 @@ class _BlockSearch:
     takes U's ``us`` (k, dA, dA) takes each row's state in ``state`` (k,),
     and a row's arithmetic is what it is alone.  ``evals`` counts each
     state's evaluations (an int for one state).  Bures is taken on the
-    support of rho = W W^dag, from the W (N, n, rank) ``roots``: the roots
-    of round-off eigenvalues outside it would leave 1e-8 of noise.
+    support of rho = W W^dag, from the W (N, n, rank) ``roots`` of
+    ``support_roots``, by ``support_fidelity``: the kernel of
+    ``minkit.fidelity``.
     """
 
     def __init__(self, mats: np.ndarray, dims: tuple[int, int], which: str,
@@ -454,16 +453,16 @@ class _BlockSearch:
         return out.reshape((len(us),) + (us.shape[-1], self.dims[1]) * 2)
 
     def _spectral(self, us: np.ndarray, rt: np.ndarray, state: np.ndarray | None = None):
-        """The matrix whose eigenvalues give the value of each frame, and W~:
-        rho~ - D(rho~) for trace, C = W~^dag D(rho~) W~ with W~ = (U^dag x I) W
-        for Bures.  ``state`` picks each row's W; with ``state`` None the
-        rows are the states, and ``us`` broadcasts against them."""
+        """The masked blocks of each frame as a matrix, rho~ - D(rho~) for
+        trace and D(rho~) for Bures, and for Bures W~ = (U^dag x I) W.
+        ``state`` picks each row's W; with ``state`` None the rows are the
+        states, and ``us`` broadcasts against them."""
         k, n = len(rt), self.rho.shape[-1]
+        x = (rt * self.mask).reshape(k, n, n)
         if self.which == "trace":
-            return (rt * self.mask).reshape(k, n, n), None
+            return x, None
         root = self.root if state is None or len(self.root) == 1 else self.root[state]
-        wt = (dagger(us) @ root.reshape(len(root), self.da, -1)).reshape(k, n, -1)
-        return dagger(wt) @ (rt * self.mask).reshape(k, n, n) @ wt, wt
+        return x, (dagger(us) @ root.reshape(len(root), self.da, -1)).reshape(k, n, -1)
 
     def values(self, us: np.ndarray | None = None, state: np.ndarray | None = None) -> np.ndarray:
         """The measure of each row, from the spectrum that ``smoothed`` uses;
@@ -471,13 +470,12 @@ class _BlockSearch:
         rt = self.rho.reshape(-1, *self.dims * 2) if us is None else self.frames(us, state)
         if self.which == "hs":
             return (np.abs(rt * self.mask) ** 2).reshape(len(rt), -1).sum(-1)
-        if self.which == "trace":
-            return np.abs(np.linalg.eigvalsh(self._spectral(us, rt)[0])).sum(-1)
         if us is None:
             us = np.eye(self.da, dtype=complex)[None]
-        c = np.linalg.eigvalsh(self._spectral(us, rt, state)[0])
-        fid = np.minimum(np.sqrt(np.maximum(c, 0.0)).sum(-1) ** 2, 1.0)
-        return 2.0 * (1.0 - np.sqrt(fid))
+        x, wt = self._spectral(us, rt, state)
+        if self.which == "trace":
+            return np.abs(np.linalg.eigvalsh(x)).sum(-1)
+        return 2.0 * (1.0 - np.sqrt(support_fidelity(wt, x)))
 
     def jacobi(self, tol: float) -> np.ndarray:
         """HS optimum of each state (N, dA, dA), by Jacobi sweeps from the
@@ -531,7 +529,7 @@ class _BlockSearch:
             m = np.einsum("nabcd,ncdeb->nae", s, rt)
             value, true = root.sum(-1), np.abs(w).sum(-1)
         else:
-            c, q = np.linalg.eigh(x)
+            c, q = np.linalg.eigh(dagger(wt) @ x @ wt)
             root = np.sqrt(c + mu * mu)
             p = (wt @ q) / np.sqrt(root)[:, None, :]
             z = (p @ dagger(p)).reshape(rt.shape)
@@ -637,10 +635,12 @@ class _BlockSearch:
 def _haar_starts(blocks, da: int, count: int, seed: int) -> np.ndarray:
     """``count`` block-diagonal Haar unitaries (count, dA, dA), I on blocks of size 1.
 
-    The draws are those of ``random_unitary`` from ``default_rng(seed)``,
-    start by start, then block by block (the real, then the imaginary part
-    of each Ginibre matrix), in one ``standard_normal`` call; each block
-    size takes one stacked QR.  Memoized: one read-only array per argument set.
+    Each block is Q of the QR of a complex Ginibre matrix, its columns
+    rephased by the phases of R's diagonal.  The draws come from
+    ``default_rng(seed)``, start by start, then block by block (the real,
+    then the imaginary part of each Ginibre matrix), in one
+    ``standard_normal`` call; each block size takes one stacked QR.
+    Memoized: one read-only array per argument set.
     """
     free = [(off, size) for off, size in blocks if size >= 2]
     at = np.cumsum([0] + [2 * size * size for _, size in free])
@@ -685,19 +685,18 @@ def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> li
     mats = np.array([rho.mat for rho in rhos])
     fams = invariant_family(partial_trace(mats, dims, "B"), cfg.degeneracy_tol)
     ranks = [0] * len(rhos)
-    if which == "bures":
-        # rho = W W^dag on its support, its top ``rank`` eigenvectors; a search has one rank
-        w, v = np.linalg.eigh(mats)
-        ranks = (w > _SUPPORT_TOL * w[:, -1:]).sum(-1).tolist()
+    if which == "bures":  # rho = W W^dag on its support; a search has one rank
+        roots = support_roots(mats)[1]
+        ranks = [root.shape[1] for root in roots]
     shapes: dict = {}
     for i, (fam, rank) in enumerate(zip(fams, ranks)):
         shapes.setdefault((fam.kind, fam.blocks, rank), []).append(i)
     results: list = [None] * len(rhos)
     for (kind, blocks, rank), idx in shapes.items():
         bases = np.array([fams[i].basis for i in idx])
-        roots = v[idx][..., -rank:] * np.sqrt(w[idx][:, None, -rank:]) if rank else None
         stack = mats if len(idx) == len(rhos) else mats[idx]
-        search = _BlockSearch(stack, dims, which, bases, blocks, roots)
+        search = _BlockSearch(stack, dims, which, bases, blocks,
+                              np.array([roots[i] for i in idx]) if rank else None)
         if kind == KIND_UNIQUE:
             values, iterations, cols, method = search.values(), [1] * len(idx), bases, METHOD_UNIQUE
         else:

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    HERMITIAN_TOL,
     PAULIS,
     PSD_CLAMP,
     dagger,
     hermitian_eig,
-    is_hermitian,
     partial_trace,
 )
 
-HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 
@@ -90,11 +89,11 @@ def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix | list[Den
     """Check density-matrix invariants and wrap the matrix.
 
     Raises ``StateInvariantError`` naming the first failed invariant:
-    positive dims, shape, Hermiticity (1e-10/entry), positivity
-    (eigenvalues above the clamp tolerance), unit trace (1e-10).  A stack
-    (N, n, n) is checked in one pass, each matrix against all three
-    invariants, and gives a list of N states; the first matrix that fails
-    raises the message it raises alone.
+    positive dims, shape, finite entries, Hermiticity (1e-10/entry),
+    positivity (eigenvalues above the clamp tolerance), unit trace (1e-10).
+    One matrix, or each of a stack (N, n, n), which gives a list of N
+    states, is checked in one stacked pass, so a matrix raises the same
+    message alone and in a stack; the first matrix that fails raises.
     """
     da, db = int(dims[0]), int(dims[1])
     if da < 1 or db < 1:
@@ -103,31 +102,25 @@ def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix | list[Den
     n = da * db
     if mat.shape[-2:] != (n, n) or mat.ndim not in (2, 3):
         raise StateInvariantError(f"expected shape {(n, n)} for dims {dims}, got {mat.shape}")
-    if mat.ndim == 2:
-        _check_invariants(mat)
-        return DensityMatrix(mat=mat, dims=(da, db))
-    # one pass over the stack flags every matrix that can fail; each flagged
-    # one, in order, then raises what it raises alone
-    w = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
-    tr = np.trace(mat, axis1=-2, axis2=-1)
-    ok = np.abs(mat - dagger(mat)).max(axis=(-2, -1)) <= HERM_TOL
-    ok &= (w.min(axis=-1) >= -PSD_CLAMP) & (np.abs(tr - 1.0) <= TRACE_TOL)
-    for k in np.flatnonzero(~ok):
-        _check_invariants(mat[k])
-    return [DensityMatrix(mat=m, dims=(da, db)) for m in mat]
-
-
-def _check_invariants(mat: np.ndarray) -> None:
-    """Raise ``StateInvariantError`` naming the first invariant a square
-    matrix fails: Hermiticity, positivity, unit trace."""
-    if not is_hermitian(mat, HERM_TOL):
-        raise StateInvariantError("matrix is not Hermitian within 1e-10")
-    w = np.linalg.eigvalsh((mat + dagger(mat)) / 2)
-    if w.min() < -PSD_CLAMP:
-        raise StateInvariantError(f"negative eigenvalue {w.min():.3e} beyond clamp tolerance")
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise StateInvariantError(f"trace is {tr:.12g}, expected 1")
+    stack = mat.reshape(-1, n, n)
+    # one pass over the stack, with zeros in place of the non-finite matrices
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    safe = stack if finite.all() else np.where(finite[:, None, None], stack, 0.0)
+    hermitian = np.abs(safe - dagger(safe)).max(axis=(-2, -1)) <= HERMITIAN_TOL
+    low = np.linalg.eigvalsh((safe + dagger(safe)) / 2).min(axis=-1)
+    tr = np.trace(safe, axis1=-2, axis2=-1)
+    ok = finite & hermitian & (low >= -PSD_CLAMP) & (np.abs(tr - 1.0) <= TRACE_TOL)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        if not finite[k]:
+            raise StateInvariantError("matrix has non-finite entries")
+        if not hermitian[k]:
+            raise StateInvariantError(f"matrix is not Hermitian within {HERMITIAN_TOL:g}")
+        if low[k] < -PSD_CLAMP:
+            raise StateInvariantError(f"negative eigenvalue {low[k]:.3e} beyond clamp tolerance")
+        raise StateInvariantError(f"trace is {tr[k]:.12g}, expected 1")
+    states = [DensityMatrix(mat=m, dims=(da, db)) for m in stack]
+    return states if mat.ndim == 3 else states[0]
 
 
 def pure_state(amplitudes: np.ndarray, dims: tuple[int, int]) -> PureState:
@@ -428,8 +421,11 @@ def state_from_json(payload: dict) -> DensityMatrix:
         im = np.asarray(payload["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFormatError(f"malformed state payload: {exc}") from exc
-    if len(dims) != 2:
-        raise StateFormatError(f"dims must have two entries, got {dims!r}")
+    # two integers: a bool is not one, an integral float such as 2.0 is
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 2 and all(
+            isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+            or isinstance(d, float) and d.is_integer() for d in dims)):
+        raise StateFormatError(f"dims must be two integers, got {dims!r}")
     if re.ndim != 2 or re.shape != im.shape:
         raise StateFormatError(f"re/im must be equal-shape 2-D arrays, got {re.shape} vs {im.shape}")
     return validate(re + 1j * im, (int(dims[0]), int(dims[1])))

@@ -156,6 +156,24 @@ class TestCompute:
             assert f"cannot write {missing}" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize(
+        "dims", ["null", "4", '{"a": 1}', "[[2], [2]]", '"ab"', "[NaN, 2]", "[2.5, 1.6]",
+                 "[true, 4]", "[2]", "[2, 2, 2]"])
+    def test_malformed_dims_exit_2(self, capsys, tmp_path, dims):
+        m = np.eye(4) / 4
+        path = tmp_path / "dims.json"
+        path.write_text(f'{{"dims": {dims}, "re": {m.tolist()}, "im": {(0 * m).tolist()}}}')
+        assert main(["compute", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dims must be two integers" in captured.err
+
+    def test_integral_float_dims(self, capsys, bd_state, tmp_path):
+        with open(bd_state) as fh:
+            payload = json.load(fh)
+        path = tmp_path / "float-dims.json"
+        path.write_text(json.dumps({**payload, "dims": [2.0, 2]}))
+        assert _run(capsys, ["compute", str(path)]) == _run(capsys, ["compute", bd_state])
+
     def test_out_file_and_manifest(self, capsys, bd_state, tmp_path):
         out_path = tmp_path / "report.json"
         code, _ = _run(capsys, ["compute", bd_state, "--out", str(out_path)])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from haar import random_unitary
 from minkit.linalg import (
     PAULIS,
     HermEig,
@@ -15,7 +16,6 @@ from minkit.linalg import (
     hs_norm,
     partial_trace,
     psd_sqrt,
-    random_unitary,
     tensor_product,
     trace_norm,
 )
@@ -355,6 +355,19 @@ class TestFidelity:
         for _ in range(5):
             rho, sigma = _random_density(rng, 3), _random_density(rng, 3)
             assert abs(fidelity(rho, sigma) - fidelity(sigma, rho)) <= 1e-10
+
+    def test_rejects_non_hermitian_rho(self):
+        rho = np.eye(2, dtype=complex) / 2
+        rho[0, 1] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity(rho, np.eye(2, dtype=complex) / 2)
+
+    def test_rejects_negative_rho(self):
+        rho = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(ValueError, match="negative eigenvalue -2.000e-01, not PSD"):
+            fidelity(rho, np.eye(2, dtype=complex) / 2)
+        # within the clamp, scaled by the largest eigenvalue, is round-off
+        assert fidelity(np.diag([1.0, -5e-11]), np.diag([1.0, 0.0])) == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minkit.linalg import PAULIS, dagger, hermitian_eig, random_unitary, tensor_product, trace_norm
+from haar import random_unitary
+from minkit.linalg import PAULIS, dagger, hermitian_eig, tensor_product, trace_norm
 from minkit.measurements import (
     KIND_BLOCK,
     KIND_QUBIT_SPHERE,

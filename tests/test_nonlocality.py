@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkit import nonlocality
+from haar import random_unitary
+from minkit import fidelity, nonlocality
 from minkit.channels import apply_channel_b, random_channel
-from minkit.linalg import PAULIS, dagger, partial_trace, random_unitary, tensor_product
+from minkit.linalg import PAULIS, dagger, partial_trace, support_roots, tensor_product
 from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
 from minkit.nonlocality import (
     METHOD_BLOCK,
@@ -19,7 +20,6 @@ from minkit.nonlocality import (
     METHOD_UNIQUE,
     DimensionLimitError,
     OptimizerConfig,
-    _SUPPORT_TOL,
     _BlockSearch,
     _canonical_axis,
     _haar_starts,
@@ -1083,11 +1083,7 @@ def _direct_value(rho, measurement, which):
 def _search(rho, which, fam):
     """The block search of one state over its family; for Bures, with the
     W of rho = W W^dag on its support, as ``_optimize`` takes it."""
-    roots = None
-    if which == "bures":
-        w, v = np.linalg.eigh(rho.mat)
-        rank = int((w > _SUPPORT_TOL * w[-1]).sum())
-        roots = (v[:, -rank:] * np.sqrt(w[-rank:]))[None]
+    roots = np.array(support_roots(rho.mat[None])[1]) if which == "bures" else None
     return _BlockSearch(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks, roots)
 
 
@@ -1279,6 +1275,17 @@ def _support_fidelity(rho, post):
 class TestBuresSupport:
     """The fidelity is computed on the support of rho, full-rank states
     included."""
+
+    def test_fidelity_reproduces_the_reported_value(self):
+        # minkit.fidelity at the returned measurement, on rank-deficient
+        # states where the square root of all of rho left 5e-8 of noise
+        rng = np.random.default_rng(2001)
+        for rho in (random_density((3, 3), 1, 11), random_density((2, 4), 1, 20),
+                    random_density((2, 3), 2, 12), _filtered((2, 3), 3, rng)):
+            assert np.linalg.matrix_rank(rho.mat, tol=1e-10) < rho.mat.shape[0]
+            res = bures_min_numeric(rho)
+            post = apply_projectors(rho.mat, res.measurement, rho.db)
+            assert abs(2.0 * (1.0 - math.sqrt(fidelity(rho.mat, post))) - res.value) <= 1e-13
 
     def test_rank_deficient_value_is_stable(self):
         # a 1e-15 nudge turns the zero eigenvalues of rho into round-off;

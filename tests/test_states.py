@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minkit.linalg import PAULIS, dagger, hermitian_eig, hs_norm, random_unitary, tensor_product
+from haar import random_unitary
+from minkit.linalg import PAULIS, dagger, hermitian_eig, hs_norm, tensor_product
 from minkit.nonlocality import trace_min_numeric, trace_min_pure
 from minkit.states import (
     StateFormatError,
@@ -92,6 +93,20 @@ class TestValidate:
             validate(np.stack([good, skew, heavy]), (2, 2))
         with pytest.raises(StateInvariantError, match="expected shape"):
             validate(np.stack([good, good])[None], (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_stack_with_non_finite_matrix(self, bad):
+        good = np.eye(4, dtype=complex) / 4
+        broken = good.copy()
+        broken[1, 2] = bad
+        for mat in (broken, np.stack([good, broken, good])):
+            with pytest.raises(StateInvariantError, match="non-finite"):
+                validate(mat, (2, 2))
+        # an earlier matrix that fails raises its own message first
+        skew = good.copy()
+        skew[0, 1] = 0.1
+        with pytest.raises(StateInvariantError, match="Hermitian"):
+            validate(np.stack([skew, broken]), (2, 2))
 
     def test_werner_passes(self):
         rho = make_werner(2, 0.5)
