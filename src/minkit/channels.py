@@ -18,8 +18,9 @@ from .states import (
     DensityMatrix,
     StateInvariantError,
     _as_rng,
+    _ginibre,
     _ginibre_density,
-    bell_diagonal_weights,
+    _haar_q,
     in_tetrahedron,
     make_bell_diagonal,
     validate,
@@ -115,12 +116,8 @@ def random_channel(d: int, kraus_count: int, seed) -> KrausChannel:
     """Random CPTP channel from the column partition of a Haar isometry."""
     if kraus_count < 1:
         raise ValueError("kraus_count must be >= 1")
-    rng = _as_rng(seed)
-    g = rng.standard_normal((d * kraus_count, d)) + 1j * rng.standard_normal((d * kraus_count, d))
-    q, r = np.linalg.qr(g)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    ops = tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_count))
-    return kraus_channel(ops, label=f"random_k{kraus_count}")
+    q = _haar_q(_ginibre(_as_rng(seed), (d * kraus_count, d)))
+    return kraus_channel(q.reshape(kraus_count, d, d), label=f"random_k{kraus_count}")
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,8 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     ``sided`` is "one" (channel on B) or "two" (same channel on both
     parties).  The analytic multiplier rule is verified against explicit
     Kraus evolution at every grid point to 1e-10, all points in one batch;
-    on two sides the Kraus operators are the products K_k x K_l.
+    on two sides the Kraus operators are the products K_k x K_l.  A triple
+    outside the tetrahedron, at the start or later, raises ``StateInvariantError``.
     """
     c0 = np.asarray(c0, dtype=float)
     if sided not in ("one", "two"):
@@ -154,7 +152,7 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     if axis not in (1, 2, 3):
         raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
     if not in_tetrahedron(c0):
-        raise ValueError(f"initial triple {tuple(map(float, c0))} is not physical")
+        raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     rho0 = make_bell_diagonal(c0)
     times = np.asarray(gamma_ts, dtype=float)
     # Python floats point by point: np.exp and numpy's square differ in the last bit
@@ -165,7 +163,7 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     mult = p if sided == "one" else np.array([s**2 for s in sides], dtype=float)
     c_t = c0 * mult[:, None]
     c_t[:, axis - 1] = c0[axis - 1]
-    outside = np.flatnonzero(bell_diagonal_weights(c_t).min(axis=-1) < -1e-12)
+    outside = np.flatnonzero(~in_tetrahedron(c_t))
     if outside.size:
         raise StateInvariantError(
             f"correlation triple {tuple(map(float, c_t[outside[0]]))} "
@@ -261,7 +259,7 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
     pos, neg = freezing_vertices(axis)
     grid = np.linspace(-1.0, 1.0, max(resolution, 0))
     cube = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-    points = cube[bell_diagonal_weights(cube).min(axis=-1) >= -1e-12]
+    points = cube[in_tetrahedron(cube)]
     flags = classify_freezing(points, axis)
     return {
         "axis": axis,

@@ -13,6 +13,7 @@ input, 3 state-invariant violation, 4 dimension bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -39,7 +40,6 @@ from .states import (
     DensityMatrix,
     StateFormatError,
     StateInvariantError,
-    bell_diagonal_weights,
     in_tetrahedron,
     load_state,
 )
@@ -76,12 +76,14 @@ def _file_digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, config: dict, seed: int, digest: str) -> None:
+def _write_manifest(out_path: str, command: str, config: dict, seed: int = 0,
+                    digest: str | None = None) -> None:
+    """The sidecar of ``out_path``; the input digest defaults to that of ``config``."""
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
-        "input_digest": digest,
+        "input_digest": digest or _params_digest(config),
         "tool_version": __version__,
     }
     _write_json(out_path + ".manifest.json", manifest)
@@ -202,7 +204,7 @@ def surface_rows(level: float, resolution: int) -> tuple[np.ndarray, np.ndarray]
     faces = np.stack(
         [np.insert(square, axis, sign * level, axis=1) for axis in range(3) for sign in (1, -1)]
     )
-    keep = bell_diagonal_weights(faces).min(axis=-1) >= -1e-12
+    keep = in_tetrahedron(faces)
     face_ids = np.broadcast_to(np.arange(6)[:, None], keep.shape)
     return faces[keep], face_ids[keep]
 
@@ -212,8 +214,7 @@ def _cmd_surface(args) -> int:
         raise _InputError(f"level must lie in (0, 1], got {args.level}")
     points, face_ids = surface_rows(args.level, args.resolution)
     _write_csv(args.out, ["c1", "c2", "c3", "face_id"], [*points.T, face_ids])
-    params = {"level": args.level, "resolution": args.resolution}
-    _write_manifest(args.out, "surface", params, args.seed, _params_digest(params))
+    _write_manifest(args.out, "surface", {"level": args.level, "resolution": args.resolution})
     print(f"surface level {args.level}: {len(face_ids)} points -> {args.out}")
     return 0
 
@@ -228,8 +229,7 @@ def _cmd_region(args) -> int:
     _write_csv(args.out, ["c1", "c2", "c3", "flag"], [*report["points"].T, report["flags"]])
     sidecar = {key: report[key] for key in ("axis", "channel", "vertices")}
     _write_json(args.out + ".vertices.json", sidecar)
-    params = {"axis": args.axis, "resolution": args.resolution}
-    _write_manifest(args.out, "region", params, args.seed, _params_digest(params))
+    _write_manifest(args.out, "region", {"axis": args.axis, "resolution": args.resolution})
     print(f"freezing region axis {args.axis}: {len(report['flags'])} samples -> {args.out}")
     return 0
 
@@ -248,8 +248,6 @@ def _cmd_sweep(args) -> int:
         raise _InputError(f"--c0 expects three finite comma-separated numbers, got {args.c0}")
     if not (np.isfinite(args.tmax) and args.tmax >= 0.0):
         raise _InputError(f"--tmax must be finite and >= 0, got {args.tmax}")
-    if not in_tetrahedron(c0):
-        raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     times = np.linspace(0.0, args.tmax, args.grid)
     trace = dynamics_sweep(c0, args.axis, args.sided, times)
     columns = [trace.times, *trace.c_t.T, trace.n1_t, trace.n2_t]
@@ -261,7 +259,7 @@ def _cmd_sweep(args) -> int:
         "points": args.grid,
         "tmax": args.tmax,
     }
-    _write_manifest(args.out, "sweep", params, args.seed, _params_digest(params))
+    _write_manifest(args.out, "sweep", params)
     print(f"sweep {trace.channel} ({args.sided}-sided): {len(trace.times)} points -> {args.out}")
     return 0
 
@@ -282,8 +280,9 @@ def _cmd_audit(args) -> int:
     report["kind"] = args.kind
     if args.out:
         _write_json(args.out, report)
-        params = {"kind": args.kind, "counts": args.counts, "channels": args.channels}
-        _write_manifest(args.out, "audit", params, args.seed, _params_digest(params))
+        params = {"kind": args.kind, "counts": args.counts, "channels": args.channels,
+                  **asdict(cfg)}
+        _write_manifest(args.out, "audit", params, args.seed)
     status = "PASS" if report["passed"] else "FAIL"
     print(f"audit {args.kind}: {status}")
     return 0 if report["passed"] else 1
@@ -310,6 +309,7 @@ def _add_optimizer_flags(sub) -> None:
                      help="eigenvalue-gap threshold separating the unique and degenerate branches")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minkit",
@@ -330,14 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     surface.add_argument("--level", type=float, required=True)
     surface.add_argument("--resolution", type=_positive_int, default=41)
     surface.add_argument("--out", required=True)
-    surface.add_argument("--seed", type=int, default=0)
     surface.set_defaults(func=_cmd_surface)
 
     region = subs.add_parser("region", help="sample a flip-channel freezing region")
     region.add_argument("--axis", type=int, choices=(1, 2, 3), required=True)
     region.add_argument("--resolution", type=_positive_int, default=21)
     region.add_argument("--out", required=True)
-    region.add_argument("--seed", type=int, default=0)
     region.set_defaults(func=_cmd_region)
 
     sweep = subs.add_parser("sweep", help="flip-channel dynamics of a Bell-diagonal state")
@@ -347,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", type=_positive_int, default=41, help="number of time points")
     sweep.add_argument("--tmax", type=float, default=5.0, help="largest gamma*t")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--seed", type=int, default=0)
     sweep.set_defaults(func=_cmd_sweep)
 
     audit = subs.add_parser("audit", help="run a self-audit suite")

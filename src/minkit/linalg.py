@@ -192,13 +192,15 @@ def support_fidelity(roots: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ``[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2`` in [0, 1] of a
-    Hermitian PSD rho, on its support by ``support_fidelity``, as Bures MIN is."""
+    """Uhlmann fidelity ``[Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2`` of Hermitian PSD
+    rho and sigma (both checked; traces are not), on the support of rho by
+    ``support_fidelity`` as Bures MIN is, capped at 1."""
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    if not is_hermitian(rho):
+    if not (is_hermitian(rho) and is_hermitian(sigma)):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, (root,) = support_roots(rho[None])
-    if w.min() < -PSD_CLAMP * max(1.0, float(np.abs(w).max())):
-        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}, not PSD")
+    for v in (w[0], np.linalg.eigvalsh(sigma)):
+        if v.min() < -PSD_CLAMP * max(1.0, float(np.abs(v).max())):
+            raise ValueError(f"matrix has negative eigenvalue {v.min():.3e}, not PSD")
     return float(support_fidelity(root, sigma))

@@ -75,11 +75,19 @@ def is_invariant(m: LocalMeasurement, rho_a: np.ndarray, tol: float = INVARIANCE
     return hs_norm(out - rho_a) <= tol
 
 
-def sphere_measurement(e_hat: np.ndarray) -> LocalMeasurement:
-    """Qubit measurement along a unit Bloch direction."""
+def _unit_directions(e_hat) -> np.ndarray:
+    """``e_hat`` (..., 3) as floats; a norm off 1 by more than 1e-10, or NaN, raises."""
     e = np.asarray(e_hat, dtype=float)
-    if abs(np.linalg.norm(e) - 1.0) > 1e-10:
-        raise ValueError(f"direction must be a unit vector, |e| = {np.linalg.norm(e):.12g}")
+    norms = np.linalg.norm(e, axis=-1)
+    bad = ~(np.abs(norms - 1.0) <= 1e-10)  # negated so that a NaN norm counts as bad
+    if bad.any():
+        raise ValueError(f"direction must be a unit vector, |e| = {norms[bad].flat[0]:.12g}")
+    return e
+
+
+def sphere_measurement(e_hat: np.ndarray) -> LocalMeasurement:
+    """Qubit measurement along a unit Bloch direction, checked by ``_unit_directions``."""
+    e = _unit_directions(e_hat)
     es = e[0] * PAULIS[0] + e[1] * PAULIS[1] + e[2] * PAULIS[2]
     i2 = np.eye(2, dtype=complex)
     return LocalMeasurement(projectors=((i2 + es) / 2, (i2 - es) / 2))

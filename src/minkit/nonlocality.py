@@ -33,11 +33,15 @@ from .measurements import (
     LocalMeasurement,
     _rank_one_projectors,
     _turned,
+    _unit_directions,
     invariant_family,
 )
 from .states import (
     DensityMatrix,
     SchmidtForm,
+    _check_family_args,
+    _ginibre,
+    _haar_q,
     bloch_decompose,
     canonicalize,
     density_from_pure,
@@ -217,11 +221,6 @@ def hs_min_isotropic(d: int, x: float) -> float:
     return (d * d * x - 1.0) ** 2 / (d * (d + 1) ** 2 * (d - 1))
 
 
-def _check_family_args(d: int, x: float, low: float) -> None:
-    if d < 2 or not low <= x <= 1.0:
-        raise ValueError("d must be >= 2" if d < 2 else f"x must lie in [{low:g}, 1], got {x}")
-
-
 def closed_form(rho: DensityMatrix, measure: str,
                 degeneracy_tol: float = DEGENERACY_TOL) -> float | None:
     """Closed-form value of ``measure`` when the state's family has one.
@@ -278,14 +277,10 @@ def direction_objective(e_hat: np.ndarray, c: np.ndarray) -> float | np.ndarray:
     along the unit direction ``e_hat``, the returned value equals twice the
     squared trace-norm disturbance, 2 s_max((I - e e^T) diag(c))^2; its
     sphere maximum is twice the squared largest |c_i|.  ``e_hat`` may be
-    one direction (a float is returned) or a stack (N, 3) (an (N,) array).
+    one direction (a float is returned) or a stack (N, 3) (an (N,) array),
+    checked by ``_unit_directions``.
     """
-    e = np.asarray(e_hat, dtype=float)
-    norms = np.linalg.norm(e, axis=-1)
-    # negated so that a NaN or infinite norm counts as bad
-    bad = ~(np.abs(norms - 1.0) <= 1e-10)
-    if bad.any():
-        raise ValueError(f"direction must be a unit vector, |e| = {norms[bad].flat[0]:.12g}")
+    e = _unit_directions(e_hat)
     p = np.eye(3) - e[..., :, None] * e[..., None, :]
     s = np.linalg.svd(p * np.asarray(c, dtype=float), compute_uv=False)[..., 0]
     return float(2.0 * s**2) if e.ndim == 1 else 2.0 * s**2
@@ -492,18 +487,15 @@ class _BlockSearch:
         live = list(range(len(u)))
         for _ in range(_JACOBI_SWEEPS):
             gain = [0.0] * len(live)
-            lu = u if len(live) == len(u) else u[live]  # the live rows, no copy while all are
             for pair in self.pairs:
-                g = _pauli_gram(_pauli_blocks(self.frames(lu[:, :, pair], live)))
+                g = _pauli_gram(_pauli_blocks(self.frames(u[live][:, :, pair], live)))
                 w, v = np.linalg.eigh(g)
-                for r in range(len(live)):  # each row's step, as it takes it alone
+                for r, row in enumerate(live):  # each row's step, as it takes it alone
                     step = (g[r, 2, 2] - w[r, 0]) / 2
                     if step > 1e-14 * np.trace(g[r]):
                         n = v[r, :, 0] if v[r, 2, 0] >= 0.0 else -v[r, :, 0]
-                        lu[r][:, pair] = lu[r][:, pair] @ _pair_rotation(n)
+                        u[row][:, pair] = u[row][:, pair] @ _pair_rotation(n)
                         gain[r] += step
-            if lu is not u:
-                u[live] = lu
             live = [row for row, gained in zip(live, gain) if gained > tol]
             if not live:
                 break
@@ -635,27 +627,16 @@ class _BlockSearch:
 def _haar_starts(blocks, da: int, count: int, seed: int) -> np.ndarray:
     """``count`` block-diagonal Haar unitaries (count, dA, dA), I on blocks of size 1.
 
-    Each block is Q of the QR of a complex Ginibre matrix, its columns
-    rephased by the phases of R's diagonal.  The draws come from
-    ``default_rng(seed)``, start by start, then block by block (the real,
-    then the imaginary part of each Ginibre matrix), in one
-    ``standard_normal`` call; each block size takes one stacked QR.
+    Start by start, then block by block, each block of size s >= 2 is
+    ``_haar_q(_ginibre(rng, (s, s)))`` with ``rng = default_rng(seed)``.
     Memoized: one read-only array per argument set.
     """
-    free = [(off, size) for off, size in blocks if size >= 2]
-    at = np.cumsum([0] + [2 * size * size for _, size in free])
-    draws = np.random.default_rng(seed).standard_normal((count, at[-1]))
+    rng = np.random.default_rng(seed)
     out = np.tile(np.eye(da, dtype=complex), (count, 1, 1))
-    for size in sorted({size for _, size in free}):
-        picks = [(off, a) for (off, s), a in zip(free, at) if s == size]
-        sq = size * size
-        g = np.stack([draws[:, a : a + sq] + 1j * draws[:, a + sq : a + 2 * sq] for _, a in picks],
-                     axis=1).reshape(count, len(picks), size, size)
-        q, r = np.linalg.qr(g)
-        d = np.diagonal(r, axis1=-2, axis2=-1)
-        q = q * (d / np.abs(d))[..., None, :]
-        for j, (off, _) in enumerate(picks):
-            out[:, off : off + size, off : off + size] = q[:, j]
+    for start in out:
+        for off, size in blocks:
+            if size >= 2:
+                start[off : off + size, off : off + size] = _haar_q(_ginibre(rng, (size, size)))
     out.flags.writeable = False
     return out
 

@@ -130,7 +130,7 @@ def pure_state(amplitudes: np.ndarray, dims: tuple[int, int]) -> PureState:
     if v.size != da * db:
         raise StateInvariantError(f"vector length {v.size} incompatible with dims {dims}")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:  # negated so that a NaN norm counts as bad
         raise StateInvariantError(f"vector norm {norm:.12g}, expected 1")
     return PureState(amplitudes=v, dims=(int(da), int(db)))
 
@@ -243,9 +243,10 @@ def bell_diagonal_weights(c: np.ndarray) -> np.ndarray:
     ).T
 
 
-def in_tetrahedron(c: np.ndarray, tol: float = 1e-12) -> bool:
-    """Whether a correlation triple is physical."""
-    return bool(bell_diagonal_weights(c).min() >= -tol)
+def in_tetrahedron(c: np.ndarray, tol: float = 1e-12) -> bool | np.ndarray:
+    """Whether a correlation triple (a bool), or each of a stack (..., 3) (a mask), is physical."""
+    inside = bell_diagonal_weights(c).min(axis=-1) >= -tol
+    return bool(inside) if inside.ndim == 0 else inside
 
 
 def make_bell_diagonal(c: np.ndarray) -> DensityMatrix:
@@ -269,12 +270,15 @@ def max_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).ravel() / np.sqrt(d)
 
 
+def _check_family_args(d: int, x: float, low: float) -> None:
+    """Check d >= 2 and x in [low, 1]: -1 for Werner, 0 for isotropic; a NaN x fails."""
+    if d < 2 or not low <= x <= 1.0:
+        raise ValueError("d must be >= 2" if d < 2 else f"x must lie in [{low:g}, 1], got {x}")
+
+
 def make_werner(d: int, x: float) -> DensityMatrix:
     """Werner state on d x d, mixing parameter ``x`` in [-1, 1]."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not -1.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [-1, 1], got {x}")
+    _check_family_args(d, x, -1.0)
     denom = d**3 - d
     mat = (d - x) / denom * np.eye(d * d, dtype=complex) + (d * x - 1) / denom * swap_operator(d)
     return validate(mat, (d, d))
@@ -282,10 +286,7 @@ def make_werner(d: int, x: float) -> DensityMatrix:
 
 def make_isotropic(d: int, x: float) -> DensityMatrix:
     """Isotropic state on d x d, fidelity ``x`` in [0, 1] with the maximally entangled state."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
+    _check_family_args(d, x, 0.0)
     phi = max_entangled(d)
     proj = np.outer(phi, phi.conj())
     denom = d * d - 1
@@ -304,11 +305,22 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Ginibre array: real, then imaginary parts from one ``standard_normal`` call."""
+    re, im = rng.standard_normal((2, *shape))
+    return re + 1j * im
+
+
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of a Ginibre matrix (n, k), its columns rephased by R's diagonal."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def random_pure(dims: tuple[int, int], seed) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    rng = _as_rng(seed)
-    n = dims[0] * dims[1]
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = _ginibre(_as_rng(seed), (dims[0] * dims[1],))
     return pure_state(v / np.linalg.norm(v), dims)
 
 
@@ -321,7 +333,7 @@ def _ginibre_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """The unvalidated n x n matrix of ``random_density``, with its draws."""
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
-    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    g = _ginibre(rng, (n, rank))
     m = g @ dagger(g)
     return m / np.trace(m).real
 

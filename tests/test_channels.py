@@ -193,8 +193,10 @@ class TestDynamicsSweep:
         assert np.all(np.diff(trace.n2_t) < 0.0)
 
     def test_rejects_unphysical_start(self):
-        # the message prints plain floats, not numpy reprs
-        with pytest.raises(ValueError, match=r"initial triple \(1\.0, 1\.0, 1\.0\) is not physical"):
+        # a state-invariant violation, as in make_bell_diagonal; the message
+        # prints plain floats, not numpy reprs
+        message = r"initial triple \(1\.0, 1\.0, 1\.0\) is not physical"
+        with pytest.raises(StateInvariantError, match=message):
             dynamics_sweep([1.0, 1.0, 1.0], 3, "one", np.array([0.0]))
 
     @pytest.mark.parametrize("sided", ["one", "two"])

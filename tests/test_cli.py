@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import minkit
 from minkit.channels import monotonicity_audit
-from minkit.cli import main, surface_rows
+from minkit.cli import build_parser, main, surface_rows
 from minkit.nonlocality import OptimizerConfig, oracle_audit, relation_audit
 from minkit.linalg import tensor_product
 from minkit.states import (
@@ -386,12 +387,54 @@ class TestAudit:
         assert code == (0 if report["passed"] else 1)
         assert json.loads(out.read_text()) == json.loads(json.dumps({**report, "kind": kind}))
 
+    def test_manifest_records_the_optimizer_flags(self, capsys, tmp_path):
+        argv = ["audit", "--kind", "oracle", "--counts", "6", "--seed", "1"]
+        plain, tuned = tmp_path / "plain.json", tmp_path / "tuned.json"
+        _run(capsys, argv + ["--out", str(plain)])
+        _run(capsys, argv + ["--degeneracy-tol", "0.2", "--restarts", "2", "--out", str(tuned)])
+        # the two reports may agree; their manifests say how each was made
+        manifests = [json.loads((tmp_path / f"{f}.json.manifest.json").read_text())
+                     for f in ("plain", "tuned")]
+        assert manifests[0]["input_digest"] != manifests[1]["input_digest"]
+        assert manifests[0]["config"] == {"kind": "oracle", "counts": 6, "channels": 1,
+                                          **asdict(OptimizerConfig(seed=1))}
+        assert manifests[1]["config"] == {**manifests[0]["config"], "degeneracy_tol": 0.2,
+                                          "restarts": 2}
+
     def test_repeat_runs_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["audit", "--kind", "monotonicity", "--counts", "10", "--seed", "42"]
         _run(capsys, args + ["--out", str(a)])
         _run(capsys, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [["surface", "--level", "0.45"], ["region", "--axis", "3"],
+                                      ["sweep", "--c0", "0.2,0.3,0.45", "--axis", "3"]])
+    def test_figure_commands_take_no_seed(self, capsys, tmp_path, argv):
+        # the figures draw nothing at random; their manifests record seed 0
+        out = tmp_path / "fig.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "3", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "fig.csv.manifest.json").read_text())
+        assert manifest["seed"] == 0
+        capsys.readouterr()
+
+    def test_main_called_twice_gives_the_same_results(self, capsys, tmp_path, bd_state):
+        # the parser is built once, and a second call parses afresh
+        runs = []
+        for _ in range(2):
+            code, out = _run(capsys, ["compute", bd_state, "--measure", "n2", "--method",
+                                      "numeric", "--out", str(tmp_path / "c.json")])
+            runs.append((code, out, (tmp_path / "c.json").read_bytes(),
+                         (tmp_path / "c.json.manifest.json").read_bytes()))
+            assert main(["sweep", "--c0", "2,0,0", "--axis", "3", "--out", "/dev/null"]) == 3
+            capsys.readouterr()
+        assert runs[0] == runs[1] and runs[0][0] == 0
+        assert build_parser() is build_parser()
 
 
 class TestCsv:

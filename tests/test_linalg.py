@@ -369,6 +369,20 @@ class TestFidelity:
         # within the clamp, scaled by the largest eigenvalue, is round-off
         assert fidelity(np.diag([1.0, -5e-11]), np.diag([1.0, 0.0])) == 1.0
 
+    def test_rejects_non_hermitian_sigma(self):
+        sigma = np.eye(2, dtype=complex) / 2
+        sigma[0, 1] = 0.3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity(np.eye(2, dtype=complex) / 2, sigma)
+
+    def test_rejects_negative_sigma(self):
+        rng = np.random.default_rng(12)
+        rho, sigma = _random_density(rng, 3), _random_density(rng, 3)
+        with pytest.raises(ValueError, match="negative eigenvalue .*, not PSD"):
+            fidelity(rho, -sigma)
+        # within the clamp, scaled by the largest eigenvalue, is round-off
+        assert fidelity(np.diag([1.0, 0.0]), np.diag([1.0, -5e-11])) == 1.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(np.eye(2) / 2, np.eye(3) / 3)

@@ -76,6 +76,11 @@ class TestSphereMeasurement:
         with pytest.raises(ValueError, match="unit"):
             sphere_measurement([1.0, 1.0, 0.0])
 
+    @pytest.mark.parametrize("e", [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, np.nan, 0.0]])
+    def test_rejects_non_finite(self, e):
+        with pytest.raises(ValueError, match="direction must be a unit vector"):
+            sphere_measurement(e)
+
 
 class TestApplyMeasurement:
     def test_classical_quantum_fixed_point(self):

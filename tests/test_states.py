@@ -5,10 +5,17 @@ import pytest
 
 from haar import random_unitary
 from minkit.linalg import PAULIS, dagger, hermitian_eig, hs_norm, tensor_product
-from minkit.nonlocality import trace_min_numeric, trace_min_pure
+from minkit.nonlocality import (
+    trace_min_isotropic,
+    trace_min_numeric,
+    trace_min_pure,
+    trace_min_werner,
+)
 from minkit.states import (
     StateFormatError,
     StateInvariantError,
+    _ginibre,
+    _haar_q,
     bell_diagonal_weights,
     bloch_decompose,
     bloch_matrix,
@@ -120,6 +127,11 @@ class TestSchmidt:
         v[0] = 1.0
         form = schmidt(pure_state(v, (2, 2)))
         np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
+
+    def test_pure_state_rejects_non_unit_and_nan_vectors(self):
+        for v, norm in (([1.0, 1.0, 0.0, 0.0], "1.41421356237"), ([np.nan, 0.0, 0.0, 0.0], "nan")):
+            with pytest.raises(StateInvariantError, match=f"vector norm {norm}"):
+                pure_state(v, (2, 2))
 
     def test_bell_state(self):
         form = schmidt(pure_state(BELL_PHI_PLUS, (2, 2)))
@@ -271,6 +283,18 @@ class TestBellDiagonal:
         for _ in range(20):
             assert in_tetrahedron(random_bell_triple(rng))
 
+    def test_in_tetrahedron_masks_a_stack(self):
+        rng = np.random.default_rng(18)
+        # random points, a vertex, and points just inside and outside a face
+        stack = np.concatenate([rng.uniform(-1.0, 1.0, (200, 3)), [[1.0, -1.0, 1.0]],
+                                [[1 / 3, 1 / 3, 1 / 3 + d] for d in (-1e-10, 1e-13, 1e-10)]])
+        for tol in (1e-12, 1e-9):
+            mask = in_tetrahedron(stack.reshape(51, 4, 3), tol)
+            assert mask.shape == (51, 4) and mask.dtype == bool
+            assert mask.ravel().tolist() == [in_tetrahedron(c, tol) for c in stack]
+            assert mask.any() and not mask.all()
+        assert type(in_tetrahedron(stack[0])) is bool
+
     def test_batched_weights_match_row_by_row(self):
         rng = np.random.default_rng(17)
         grid = np.linspace(-1.0, 1.0, 7)
@@ -303,6 +327,15 @@ class TestWerner:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="x must"):
             make_werner(2, 1.5)
+
+    @pytest.mark.parametrize("make, closed, low", [(make_werner, trace_min_werner, "-1"),
+                                                   (make_isotropic, trace_min_isotropic, "0")])
+    def test_constructor_and_closed_form_check_alike(self, make, closed, low):
+        for d, x, message in ((1, 0.5, "d must be >= 2"), (2, 1.5, rf"x must lie in \[{low}, 1\]"),
+                              (3, float("nan"), r"got nan")):
+            for f in (make, closed):
+                with pytest.raises(ValueError, match=message):
+                    f(d, x)
 
 
 class TestIsotropic:
@@ -343,6 +376,22 @@ class TestRandomEnsembles:
         b = random_pure((2, 3), seed=5)
         np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
         assert abs(np.linalg.norm(a.amplitudes) - 1.0) <= 1e-12
+
+    def test_ginibre_is_two_standard_normal_draws(self):
+        # one (2, *shape) draw is the real, then the imaginary part, and the
+        # stream goes on as after two draws of ``shape``
+        for shape in ((4,), (6, 3), (2, 2), (8, 2)):
+            for seed in range(5):
+                one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+                g = _ginibre(one, shape)
+                expected = two.standard_normal(shape) + 1j * two.standard_normal(shape)
+                assert g.tobytes() == expected.tobytes()
+                assert one.standard_normal(3).tobytes() == two.standard_normal(3).tobytes()
+
+    def test_haar_q_matches_the_reference_unitary(self):
+        for n in (1, 2, 3, 5):
+            one, two = np.random.default_rng(n), np.random.default_rng(n)
+            assert _haar_q(_ginibre(one, (n, n))).tobytes() == random_unitary(n, two).tobytes()
 
     def test_density_deterministic(self):
         a = random_density((2, 2), 3, seed=5)
