@@ -113,9 +113,15 @@ def _write_text(path: str, text: str) -> None:
 
 def _write_csv(path: str, header: list[str], columns) -> None:
     """Write ``columns`` (arrays or sequences, one per header name) under
-    ``header``; columns of unequal length raise ``ValueError``."""
+    ``header``; columns of unequal length raise ``ValueError``.  The rows
+    are one ``"".join`` over the cells interleaved with their separators."""
     cols = [_column_text(col) for col in columns]
-    _write_text(path, "\n".join([",".join(header), *map(",".join, zip(*cols, strict=True))]) + "\n")
+    step, n = 2 * len(cols), len(cols[0])
+    cells = [","] * (step * n)
+    for j, col in enumerate(cols):  # a column of another length raises ValueError here
+        cells[2 * j :: step] = col
+    cells[step - 1 :: step] = ["\n"] * n
+    _write_text(path, ",".join(header) + "\n" + "".join(cells))
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -78,7 +78,9 @@ class OptimizerConfig:
 
     With a degenerate marginal (the qubit sphere is the one-block case
     dA = 2) HS MIN takes Jacobi sweeps from the identity until a sweep
-    gains at most ``tol``; ``restarts`` and ``seed`` do not apply to it.
+    gains at most ``tol``, or one exact pair step when the family has one
+    index pair (the qubit sphere, or dA = 3 split 2 + 1); ``restarts`` and
+    ``seed`` do not apply to it.
     Trace and Bures MIN ascend from the identity, the HS optimum and
     2 * ``restarts`` Haar block unitaries drawn from ``seed``; a start
     stops once its predicted gain is at most ``tol``, and its step grows
@@ -408,7 +410,7 @@ class _BlockSearch:
     states are searched together in rows, (state, U) pairs: a method that
     takes U's ``us`` (k, dA, dA) takes each row's state in ``state`` (k,),
     and a row's arithmetic is what it is alone.  ``evals`` counts each
-    state's evaluations (an int for one state).  Bures is taken on the
+    state's framed evaluations (an int for one state).  Bures is taken on the
     support of rho = W W^dag, from the W (N, n, rank) ``roots`` of
     ``support_roots``, by ``support_fidelity``: the kernel of
     ``minkit.fidelity``.
@@ -481,11 +483,13 @@ class _BlockSearch:
         G = ``_pauli_gram`` of that pair (which reads U's two pair columns
         only, so only they are framed); the exact step is the least
         eigenvector of G.  A step whose gain is round-off is not taken, and
-        a state's sweeps stop once one gains at most ``tol``.
+        a state's sweeps stop once one gains at most ``tol``.  A family with
+        one index pair (the qubit sphere, or dA = 3 split 2 + 1) takes one
+        sweep: its one step is already the exact maximum.
         """
         u = np.eye(self.da, dtype=complex)[None].repeat(len(self.rho), 0)
         live = list(range(len(u)))
-        for _ in range(_JACOBI_SWEEPS):
+        for _ in range(_JACOBI_SWEEPS if len(self.pairs) > 1 else 1):
             gain = [0.0] * len(live)
             for pair in self.pairs:
                 g = _pauli_gram(_pauli_blocks(self.frames(u[live][:, :, pair], live)))
@@ -501,8 +505,21 @@ class _BlockSearch:
                 break
         return u
 
-    def smoothed(self, us: np.ndarray, state: np.ndarray, mu: float):
-        """Smoothed value, true value and ascent gradient (k, p) of each row.
+    def spectrum(self, us: np.ndarray, state: np.ndarray) -> tuple:
+        """The mu-free part of ``smoothed`` for each row, a tuple of arrays
+        whose rows are those of ``us``: the frame rho~ and, for trace, the
+        eigenpairs (w, v) of rho~ - D(rho~); for Bures, W~ and the eigenpairs
+        (c, q) of W~^dag D(rho~) W~.  These are the framed evaluations that
+        ``evals`` counts."""
+        rt = self.frames(us, state)
+        x, wt = self._spectral(us, rt, state)
+        if self.which == "trace":
+            return (rt, *np.linalg.eigh(x))
+        return (rt, wt, *np.linalg.eigh(dagger(wt) @ x @ wt))
+
+    def smoothed(self, spec: tuple, mu: float):
+        """Smoothed value, true value and ascent gradient (k, p) of each row
+        of a ``spectrum``; only this part depends on mu.
 
         Trace: sum sqrt(l^2 + mu^2) over the eigenvalues l of rho~ - D(rho~);
         the derivative along U exp(tH) is tr(H tr_B[S_off, rho~]) with
@@ -512,16 +529,14 @@ class _BlockSearch:
         W~ = (U^dag x I) W; with Z = W~ (C + mu^2)^(-1/2) W~^dag the
         derivative is -tr(H tr_B[D(rho~), Z] + H tr_B[D(Z), rho~]).
         """
-        rt = self.frames(us, state)
-        x, wt = self._spectral(us, rt, state)
         if self.which == "trace":
-            w, v = np.linalg.eigh(x)
+            rt, w, v = spec
             root = np.sqrt(w * w + mu * mu)
             s = ((v * (w / root)[:, None, :]) @ dagger(v)).reshape(rt.shape) * self.mask
             m = np.einsum("nabcd,ncdeb->nae", s, rt)
             value, true = root.sum(-1), np.abs(w).sum(-1)
         else:
-            c, q = np.linalg.eigh(dagger(wt) @ x @ wt)
+            rt, wt, c, q = spec
             root = np.sqrt(c + mu * mu)
             p = (wt @ q) / np.sqrt(root)[:, None, :]
             z = (p @ dagger(p)).reshape(rt.shape)
@@ -556,6 +571,17 @@ class _BlockSearch:
         w, q = np.linalg.eigh(1j * h)
         return (q * np.exp(-1j * w)[:, None, :]) @ dagger(q)
 
+    def restage(self, spec: tuple, us: np.ndarray, state: np.ndarray,
+                moved: np.ndarray) -> tuple:
+        """``spec`` of every row at the start of the next stage, in place: the
+        rows ``moved`` (the starts that took trial steps in the stage before)
+        are framed again at ``us``.  Every other row's U is unchanged, so its
+        stored spectrum is bitwise what a new evaluation would give."""
+        if moved.size:
+            for kept, new in zip(spec, self.spectrum(us[moved], state[moved])):
+                kept[moved] = new
+        return spec
+
     def ascend(self, starts: np.ndarray, tol: float) -> np.ndarray:
         """Best U of each state (N, dA, dA) after a quasi-Newton ascent from
         each of its starts ``starts`` (N, K, dA, dA), every row in lockstep.
@@ -577,6 +603,12 @@ class _BlockSearch:
         a row's U, value and estimate are written back to the full stack
         when it stops or the stage ends.
 
+        Only mu changes between stages, so each row's ``spectrum`` is kept
+        from one stage start to the next, and ``restage`` frames again only
+        the starts that took steps; a start that does not move (on a flat
+        objective, none does) is framed once for all the stages.  Trial
+        steps are always framed anew.
+
         Each state's U is that of its first start within ``tol`` of its
         best, so that ties go to U = I; its value can therefore sit up to
         ``tol`` below the best start's.
@@ -584,9 +616,12 @@ class _BlockSearch:
         (n, per), p = starts.shape[:2], 2 * len(self.rows)
         us, state = starts.reshape((-1,) + starts.shape[2:]), np.repeat(np.arange(n), per)
         inv, fresh = np.tile(np.eye(p), (n * per, 1, 1)), np.ones(n * per, dtype=bool)
+        spec = self.spectrum(us, state)
         for mu in _SMOOTHING:
-            val, true, grad = self.smoothed(us, state, mu)
-            live = np.flatnonzero((grad**2).sum(-1) > tol * tol)
+            if mu != _SMOOTHING[0]:
+                spec = self.restage(spec, us, state, moved)
+            val, true, grad = self.smoothed(spec, mu)
+            live = moved = np.flatnonzero((grad**2).sum(-1) > tol * tol)
             if not live.size:
                 continue
             u, h, new, rows = us[live], inv[live], fresh[live], state[live]
@@ -598,7 +633,7 @@ class _BlockSearch:
                     break
                 step = t[:, None] * d
                 trial = u @ self.rotations(step)
-                tv, tt, tg = self.smoothed(trial, rows, mu)
+                tv, tt, tg = self.smoothed(self.spectrum(trial, rows), mu)
                 ok = tv >= val + 1e-4 * t * slope
                 take = _taker(ok)
                 updated, curved = _bfgs_update(h, step, g - tg, new)

@@ -20,6 +20,7 @@ from minkit.nonlocality import (
     METHOD_UNIQUE,
     DimensionLimitError,
     OptimizerConfig,
+    _SMOOTHING,
     _BlockSearch,
     _canonical_axis,
     _haar_starts,
@@ -1080,11 +1081,11 @@ def _direct_value(rho, measurement, which):
     return float((np.abs(diff) ** 2).sum())
 
 
-def _search(rho, which, fam):
+def _search(rho, which, fam, cls=_BlockSearch):
     """The block search of one state over its family; for Bures, with the
     W of rho = W W^dag on its support, as ``_optimize`` takes it."""
     roots = np.array(support_roots(rho.mat[None])[1]) if which == "bures" else None
-    return _BlockSearch(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks, roots)
+    return cls(rho.mat[None], rho.dims, which, fam.basis[None], fam.blocks, roots)
 
 
 def _rows(us):
@@ -1124,13 +1125,14 @@ class TestBlockBranch:
 
     def test_flat_objective_stops_at_once_in_the_eigenbasis(self):
         # every measurement gives the same Werner value: no Jacobi step is
-        # taken, each ascent start has zero gradient (one evaluation per
-        # start and stage, after one sweep over the three pairs and before
-        # the final re-evaluation), and ties between starts go to U = I
+        # taken, each ascent start has zero gradient and never moves, so it
+        # is framed once for all three stages (after one sweep over the
+        # three pairs and before the final re-evaluation), and ties between
+        # starts go to U = I
         cfg = OptimizerConfig()
         rho = make_werner(3, 0.3)
         basis = invariant_family(reduced_state(rho, "A")).basis
-        for numeric_min, evals in ((trace_min_numeric, 3 + 3 * (2 * cfg.restarts + 2) + 1),
+        for numeric_min, evals in ((trace_min_numeric, 3 + (2 * cfg.restarts + 2) + 1),
                                    (hs_min_numeric, 3 + 1)):
             res = numeric_min(rho, cfg)
             assert res.iterations == evals
@@ -1161,10 +1163,10 @@ class TestBlockBranch:
             p = 2 * len(search.rows)
             for mu in (1e-3, 1e-6):
                 u = search.rotations(rng.standard_normal((1, p)))
-                _, _, grad = search.smoothed(u, _rows(u), mu)
+                _, _, grad = search.smoothed(search.spectrum(u, _rows(u)), mu)
                 for x in rng.standard_normal((3, 1, p)):
-                    up = search.smoothed(u @ search.rotations(eps * x), _rows(u), mu)[0]
-                    down = search.smoothed(u @ search.rotations(-eps * x), _rows(u), mu)[0]
+                    up, down = (search.smoothed(search.spectrum(u @ search.rotations(step), _rows(u)),
+                                                mu)[0] for step in (eps * x, -eps * x))
                     slope = float((grad * x).sum())
                     assert abs((up - down)[0] / (2 * eps) - slope) <= 1e-7
 
@@ -1193,6 +1195,69 @@ class TestBlockBranch:
             np.testing.assert_allclose(r @ dagger(r), np.eye(2), atol=1e-15)
             expected = (np.eye(2) + np.einsum("i,imn->mn", n, PAULIS)) / 2
             np.testing.assert_allclose(np.outer(r[:, 0], r[:, 0].conj()), expected, atol=1e-15)
+
+
+class _FreshStages(_BlockSearch):
+    """A block search whose every stage start frames every start again."""
+
+    def restage(self, spec, us, state, moved):
+        return self.spectrum(us, state)
+
+
+def _ascent(search, rho, cfg):
+    """``search.ascend`` of one state from the starts that ``_optimize``
+    gives it (I, the HS optimum and the Haar starts), and the framed
+    evaluations of the ascent alone."""
+    blocks = invariant_family(reduced_state(rho, "A")).blocks
+    haar = _haar_starts(blocks, rho.da, 2 * cfg.restarts, cfg.seed)
+    starts = np.concatenate([np.eye(rho.da)[None, None], search.jacobi(cfg.tol)[:, None],
+                             haar[None]], axis=1)
+    before = search.evals
+    return search.ascend(starts, cfg.tol), search.evals - before
+
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStageReuse:
+    """``ascend`` keeps each start's spectrum from one stage start to the
+    next, and ``restage`` frames again only the starts that took steps."""
+
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    def test_smoothed_from_a_stored_spectrum_is_the_fresh_call(self, which):
+        rng = np.random.default_rng(2101)
+        for rho in (_filtered((4, 2), 3, rng), _rotated_bell_diagonal(rng)):
+            search = _search(rho, which, invariant_family(reduced_state(rho, "A")))
+            p = 2 * len(search.rows)
+            us = search.rotations(rng.standard_normal((6, p)))
+            spec = search.spectrum(us, _rows(us))
+            moved = np.array([1, 4])
+            us[moved] = us[moved] @ search.rotations(rng.standard_normal((2, p)))
+            spec = search.restage(spec, us, _rows(us), moved)
+            fresh = search.spectrum(us, _rows(us))
+            for mu in _SMOOTHING:
+                for stored, again in zip(search.smoothed(spec, mu), search.smoothed(fresh, mu)):
+                    _assert_same_bits(stored, again)
+
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    @pytest.mark.parametrize("case", ["werner", "filtered", "rotated"])
+    def test_ascent_is_that_of_fresh_stages(self, case, which):
+        # a flat Werner objective, where no start moves; a generic 4x2
+        # state, where starts stop at different steps; and a rotated
+        # Bell-diagonal state on the qubit sphere
+        rho = {"werner": lambda: make_werner(3, 0.3),
+               "filtered": lambda: _filtered((4, 2), 3, np.random.default_rng(5)),
+               "rotated": lambda: _rotated_bell_diagonal(np.random.default_rng(6))}[case]()
+        cfg = OptimizerConfig()
+        fam = invariant_family(reduced_state(rho, "A"))
+        u, reused = _ascent(_search(rho, which, fam), rho, cfg)
+        again, framed = _ascent(_search(rho, which, fam, _FreshStages), rho, cfg)
+        _assert_same_bits(u, again)
+        assert reused <= framed
+        if case == "werner":  # one evaluation per start, against one per start and stage
+            starts = 2 * cfg.restarts + 2
+            assert (reused, framed) == (starts, 3 * starts)
 
 
 def _eigh_exponential(search, x):
