@@ -11,11 +11,9 @@ from .linalg import (
     HermEig,
     fidelity,
     hermitian_eig,
-    hs_norm,
     partial_trace,
     psd_sqrt,
     tensor_product,
-    trace_norm,
 )
 from .states import (
     BlochForm,
@@ -28,7 +26,6 @@ from .states import (
     canonicalize,
     density_from_pure,
     detect_family,
-    eof_pure,
     load_state,
     make_bell_diagonal,
     make_isotropic,
@@ -45,7 +42,6 @@ from .measurements import (
     MeasurementFamily,
     apply_measurement,
     invariant_family,
-    is_invariant,
     local_measurement,
     sphere_measurement,
 )
@@ -78,7 +74,6 @@ from .channels import (
     apply_channel_a,
     apply_channel_b,
     attach_ancilla,
-    completely_depolarizing,
     dynamics_sweep,
     flip_channel,
     freezing_region,

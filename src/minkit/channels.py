@@ -97,13 +97,6 @@ def _flip_kraus(axis: int, p) -> np.ndarray:
     return w[..., None, None] * np.stack([np.eye(2), PAULIS[axis - 1]])
 
 
-def completely_depolarizing(d: int) -> KrausChannel:
-    """Channel mapping every state to the maximally mixed one."""
-    # K_(i, j) = |i><j| / sqrt(d), in row-major (i, j) order
-    ops = np.eye(d * d, dtype=complex).reshape(d * d, d, d) / math.sqrt(d)
-    return KrausChannel(ops=tuple(ops), label="depolarizing")
-
-
 def attach_ancilla(rho: DensityMatrix, rho_c: np.ndarray) -> DensityMatrix:
     """Tensor an uncorrelated ancilla onto party B."""
     rho_c = np.asarray(rho_c, dtype=complex)

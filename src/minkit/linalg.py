@@ -106,22 +106,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarra
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values.
-
-    Hermitian inputs go through the eigenvalue route, which is symmetric
-    and cheap; anything else falls back to a full SVD.
-    """
-    if m.shape[0] == m.shape[1] and is_hermitian(m, 1e-10 * max(1.0, np.abs(m).max(initial=0.0))):
-        return float(np.abs(np.linalg.eigvalsh(m)).sum())
-    return float(np.linalg.svd(m, compute_uv=False).sum())
-
-
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(m))
-
-
 @dataclass(frozen=True)
 class HermEig:
     """Spectral resolution of a Hermitian matrix.

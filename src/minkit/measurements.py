@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, hermitian_eig, hs_norm, is_hermitian
+from .linalg import PAULIS, _local_action, hermitian_eig, is_hermitian
 from .states import DensityMatrix, validate
 
 PROJECTOR_TOL = 1e-10
-INVARIANCE_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 
 KIND_UNIQUE = "unique"
@@ -69,12 +68,6 @@ def apply_measurement(rho: DensityMatrix, m: LocalMeasurement) -> DensityMatrix:
     return validate(apply_projectors(rho.mat, m, rho.db), rho.dims)
 
 
-def is_invariant(m: LocalMeasurement, rho_a: np.ndarray, tol: float = INVARIANCE_TOL) -> bool:
-    """Whether the measurement leaves the reduced state unchanged."""
-    out = _local_action(rho_a, m.projectors, (m.dim, 1), "A")
-    return hs_norm(out - rho_a) <= tol
-
-
 def _unit_directions(e_hat) -> np.ndarray:
     """``e_hat`` (..., 3) as floats; a norm off 1 by more than 1e-10, or NaN, raises."""
     e = np.asarray(e_hat, dtype=float)
@@ -102,7 +95,8 @@ class MeasurementFamily:
     ``blocks`` lists (offset, size).
 
     kind "unique":           every block has size 1, so the family is the
-                             one measurement ``fixed``: zero free parameters.
+                             one measurement on the ``basis`` columns: zero
+                             free parameters.
     kind "block_degenerate": some block has size >= 2.
     kind "qubit_sphere":     the one-block case dA = 2, ``blocks`` ((0, 2),):
                              every direction on the Bloch sphere.
@@ -111,20 +105,6 @@ class MeasurementFamily:
     kind: str
     basis: np.ndarray
     blocks: tuple[tuple[int, int], ...]
-
-    @property
-    def fixed(self) -> LocalMeasurement | None:
-        """The measurement of a unique family; None for the other kinds."""
-        return self.refined(()) if self.kind == KIND_UNIQUE else None
-
-    def refined(self, block_unitaries) -> LocalMeasurement:
-        """Rank-1 measurement from one unitary per degenerate block.
-
-        ``block_unitaries`` supplies a unitary for each block of size >= 2,
-        in block order; size-1 blocks have no freedom.
-        """
-        cols = _turned(self.basis, self.blocks, block_unitaries)
-        return LocalMeasurement(projectors=tuple(_rank_one_projectors(cols)))
 
 
 def _turned(basis: np.ndarray, blocks, block_unitaries) -> np.ndarray:

@@ -63,6 +63,15 @@ METHOD_SPHERE = "NumericSphere"
 METHOD_BLOCK = "NumericBlock"
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: ints and numpy integers pass, anything else (a
+    float, say, which would fail later inside numpy) raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 class DimensionLimitError(ValueError):
     """Raised when a state exceeds the numeric-optimizer dimension bound."""
 
@@ -98,10 +107,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed"):
-            try:  # takes int and numpy integers, refuses floats
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer") from None
+            _integer(name, getattr(self, name))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         # a negated range test, so that NaN fails it too
@@ -299,8 +305,12 @@ def sphere_directions(n: int) -> tuple[np.ndarray, np.ndarray]:
     Theta runs over ``n + 1`` values including both poles, phi over ``n``
     values including 0; for ``n`` divisible by 4 the grid contains all six
     coordinate-axis directions, where several closed-form optima sit.
-    Returns (angles (N, 2), unit vectors (N, 3)).
+    Returns (angles (N, 2), unit vectors (N, 3)).  ``n`` must be an integer
+    >= 1; anything else raises ``ValueError``.
     """
+    n = _integer("n", n)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     thetas = np.linspace(0.0, np.pi, n + 1)
     phis = np.arange(n) * (2.0 * np.pi / n)
     tt, pp = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
@@ -374,14 +384,6 @@ def _bfgs_update(inv: np.ndarray, s: np.ndarray, y: np.ndarray,
     cross = hy[:, :, None] * rs[:, None, :]
     ss = ((1.0 + r * (y * hy).sum(-1))[:, None] * rs)[:, :, None] * s[:, None, :]
     return inv + ss - cross - np.swapaxes(cross, -1, -2), curved
-
-
-def _taker(ok: np.ndarray):
-    """take(new, old): rows of ``new`` where ``ok`` and of ``old`` elsewhere;
-    ``new`` itself when every row is ``ok``."""
-    if ok.all():
-        return lambda new, old: new
-    return lambda new, old: np.where(ok.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
 
 @functools.lru_cache(maxsize=None)
@@ -599,9 +601,10 @@ class _BlockSearch:
         before the update.  A start stops once its predicted gain g.H is at
         most ``tol``, whether or not its last trial succeeded, or once t
         falls to 1e-10; a start with zero gradient stops at once.  Within a
-        stage the arrays hold the live rows only, updated with ``np.where``;
-        a row's U, value and estimate are written back to the full stack
-        when it stops or the stage ends.
+        stage the arrays hold the live rows only, the accepted rows written
+        in place (or the arrays rebound when every row is accepted); a row's
+        U, value and estimate are written back to the full stack when it
+        stops or the stage ends.
 
         Only mu changes between stages, so each row's ``spectrum`` is kept
         from one stage start to the next, and ``restage`` frames again only
@@ -635,13 +638,16 @@ class _BlockSearch:
                 trial = u @ self.rotations(step)
                 tv, tt, tg = self.smoothed(self.spectrum(trial, rows), mu)
                 ok = tv >= val + 1e-4 * t * slope
-                take = _taker(ok)
                 updated, curved = _bfgs_update(h, step, g - tg, new)
-                h = take(updated, h)
-                u, val, tr, g = take(trial, u), take(tv, val), take(tt, tr), take(tg, g)
+                if ok.all():
+                    h, u, val, tr, g = updated, trial, tv, tt, tg
+                else:
+                    h[ok], u[ok], val[ok], tr[ok], g[ok] = (
+                        updated[ok], trial[ok], tv[ok], tt[ok], tg[ok])
                 new &= ~ok
-                d = take((h @ g[..., None])[..., 0], d)
-                slope = take((g * d).sum(-1), slope)
+                # a row not taken keeps the h and g its d came from, so d is bitwise unchanged
+                d = (h @ g[..., None])[..., 0]
+                slope = (g * d).sum(-1)
                 t = np.where(ok, np.where(curved, 1.0, _STRETCH * t), t / 2)
                 stop = (slope <= tol) | (t < 1e-10)
                 if stop.any():

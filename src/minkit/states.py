@@ -141,12 +141,6 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
     return validate(np.outer(v, v.conj()), psi.dims)
 
 
-def reduced_state(rho: DensityMatrix, party: str = "A") -> np.ndarray:
-    """Reduced density matrix of ``party`` (traces out the other one)."""
-    other = "B" if party == "A" else "A"
-    return partial_trace(rho.mat, rho.dims, other)
-
-
 def schmidt(psi: PureState) -> SchmidtForm:
     """Schmidt decomposition via SVD of the amplitude matrix."""
     da, db = psi.dims
@@ -154,19 +148,6 @@ def schmidt(psi: PureState) -> SchmidtForm:
     u, s, vh = np.linalg.svd(m)
     k = min(da, db)
     return SchmidtForm(coefficients=(s[:k] ** 2), basis_a=u[:, :k], basis_b=vh[:k, :].T)
-
-
-def schmidt_reconstruct(form: SchmidtForm) -> np.ndarray:
-    """Amplitude vector rebuilt from Schmidt data."""
-    roots = np.sqrt(np.clip(form.coefficients, 0.0, None))
-    return ((form.basis_a * roots) @ form.basis_b.T).ravel()
-
-
-def eof_pure(form: SchmidtForm) -> float:
-    """Entropy of the Schmidt coefficients in bits (0 log 0 = 0)."""
-    lam = np.clip(form.coefficients, 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-(lam * np.log2(lam)).sum())
 
 
 # ---------------------------------------------------------------------------

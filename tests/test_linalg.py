@@ -1,4 +1,4 @@
-"""Kernel linear algebra: norms, decompositions, fidelity."""
+"""Kernel linear algebra: products, partial traces, decompositions, fidelity."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from minkit.linalg import (
     dagger,
     fidelity,
     hermitian_eig,
-    hs_norm,
     partial_trace,
     psd_sqrt,
     tensor_product,
-    trace_norm,
 )
 
 
@@ -48,14 +46,17 @@ class TestTensorProduct:
         rng = np.random.default_rng(0)
         for _ in range(10):
             a, b = _random_matrix(rng, 2), _random_matrix(rng, 2)
-            assert abs(hs_norm(tensor_product(a, b)) - hs_norm(a) * hs_norm(b)) <= 1e-12
+            na, nb, nab = (np.linalg.norm(m) for m in (a, b, tensor_product(a, b)))
+            assert abs(nab - na * nb) <= 1e-12
 
     def test_trace_norm_multiplicative(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             a, b = _random_matrix(rng, 2), _random_matrix(rng, 3)
-            got = trace_norm(tensor_product(a, b))
-            assert abs(got - trace_norm(a) * trace_norm(b)) <= 1e-10
+            # trace norm: the sum of singular values
+            ta, tb, tab = (np.linalg.svd(m, compute_uv=False).sum()
+                           for m in (a, b, tensor_product(a, b)))
+            assert abs(tab - ta * tb) <= 1e-10
 
 
 def _kron_action(mat, ops, dims, party):
@@ -205,38 +206,6 @@ class TestPartialTrace:
             partial_trace(np.zeros((2, 2, 6, 6)), (2, 3), "A")
 
 
-class TestTraceNorm:
-    def test_identity(self):
-        assert trace_norm(np.eye(5, dtype=complex)) == pytest.approx(5.0, abs=1e-12)
-
-    def test_hermitian_sign_mix(self):
-        assert trace_norm(np.diag([1.0, -1.0]).astype(complex)) == pytest.approx(2.0, abs=1e-12)
-
-    def test_eig_route_matches_svd_route(self):
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            m = _random_hermitian(rng, 4)
-            by_eig = float(np.abs(np.linalg.eigvalsh(m)).sum())
-            by_svd = float(np.linalg.svd(m, compute_uv=False).sum())
-            assert abs(by_eig - by_svd) <= 1e-10
-            assert trace_norm(m) == pytest.approx(by_eig, abs=1e-10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_unitarily_invariant(self, seed):
-        rng = np.random.default_rng(seed)
-        m = _random_matrix(rng, 4)
-        u, v = random_unitary(4, rng), random_unitary(4, rng)
-        assert abs(trace_norm(u @ m @ v) - trace_norm(m)) <= 1e-10
-
-
-class TestHsNorm:
-    def test_small_cases(self):
-        assert hs_norm(np.eye(2, dtype=complex)) == pytest.approx(np.sqrt(2), abs=1e-12)
-        assert hs_norm(np.zeros((3, 3), dtype=complex)) == 0.0
-        assert hs_norm(PAULIS[2]) == pytest.approx(np.sqrt(2), abs=1e-12)
-
-
 class TestHermitianEig:
     def test_pauli_z(self):
         eig = hermitian_eig(PAULIS[2])
@@ -254,7 +223,7 @@ class TestHermitianEig:
             assert isinstance(eig, HermEig)
             v = eig.eigenvectors
             rebuilt = (v * eig.eigenvalues) @ dagger(v)
-            assert hs_norm(m - rebuilt) <= 1e-10 * max(1.0, hs_norm(m))
+            assert np.linalg.norm(m - rebuilt) <= 1e-10 * max(1.0, np.linalg.norm(m))
             assert np.abs(dagger(v) @ v - np.eye(5)).max() <= 1e-12
 
     def test_descending_order(self):
@@ -328,7 +297,7 @@ class TestPsdSqrt:
             g = _random_matrix(rng, 4)
             m = g @ dagger(g)
             root = psd_sqrt(m)
-            assert hs_norm(root @ root - m) <= 1e-9 * max(1.0, hs_norm(m))
+            assert np.linalg.norm(root @ root - m) <= 1e-9 * max(1.0, np.linalg.norm(m))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):

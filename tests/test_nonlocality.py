@@ -13,7 +13,14 @@ from haar import random_unitary
 from minkit import fidelity, nonlocality
 from minkit.channels import apply_channel_b, random_channel
 from minkit.linalg import PAULIS, dagger, partial_trace, support_roots, tensor_product
-from minkit.measurements import apply_projectors, invariant_family, sphere_measurement
+from minkit.measurements import (
+    _rank_one_projectors,
+    _turned,
+    apply_projectors,
+    invariant_family,
+    local_measurement,
+    sphere_measurement,
+)
 from minkit.nonlocality import (
     METHOD_BLOCK,
     METHOD_SPHERE,
@@ -58,10 +65,20 @@ from minkit.states import (
     pure_state,
     random_bell_triple,
     random_density,
-    reduced_state,
     schmidt,
     validate,
 )
+
+
+def _family(rho):
+    """The invariant-measurement family of rho_A."""
+    return invariant_family(partial_trace(rho.mat, rho.dims, "B"))
+
+
+def _member(fam, unitaries=()):
+    """The member of ``fam`` turned by one unitary per degenerate block, as
+    ``_optimize`` builds it, with the projector axioms checked."""
+    return local_measurement(_rank_one_projectors(_turned(fam.basis, fam.blocks, unitaries)))
 
 
 def _pure_two_level(l1: float, dims=(2, 2)):
@@ -179,10 +196,10 @@ class TestTwoQubitHs:
         rng = np.random.default_rng(32)
         for k in range(10):
             rho = random_density((2, 2), 1 + k % 4, rng)
-            fam = invariant_family(reduced_state(rho, "A"))
+            fam = _family(rho)
             if fam.kind != "unique":
                 continue
-            post = apply_projectors(rho.mat, fam.fixed, 2)
+            post = apply_projectors(rho.mat, _member(fam), 2)
             direct = float((np.abs(rho.mat - post) ** 2).sum())
             assert abs(hs_min_two_qubit(rho).value - direct) <= 1e-12
 
@@ -359,6 +376,17 @@ class TestOptimizerConfig:
         for axis in np.vstack([np.eye(3), -np.eye(3)]):
             assert np.min(np.linalg.norm(vecs - axis, axis=1)) <= 1e-15
 
+    def test_sphere_grid_rejects_a_bad_size(self):
+        # n = 0 divided by zero, n = -1 gave an empty grid
+        for n in (0, -1, np.int64(-4)):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                sphere_directions(n)
+        for n in (4.0, 2.5, "8", None):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sphere_directions(n)
+        angles, vecs = sphere_directions(np.int64(1))
+        assert angles.shape == (2, 2) and vecs.shape == (2, 3)
+
 
 class TestNumericOptimizers:
     def test_product_state_zero(self):
@@ -497,7 +525,7 @@ class TestBatchedOptimize:
         assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in (two[0], two[3])} == {4, 3}
         assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in three[::3]} == {3}
         assert {np.linalg.matrix_rank(rho.mat, tol=1e-10) for rho in three[2::3]} == {6}
-        shapes = {invariant_family(reduced_state(rho, "A")).blocks for rho in nine}
+        shapes = {_family(rho).blocks for rho in nine}
         assert {((0, 3),), ((0, 2), (2, 1)), ((0, 1), (1, 1), (2, 1))} <= shapes
         for states, branch in ((two, METHOD_SPHERE), (three, METHOD_SPHERE), (nine, METHOD_BLOCK)):
             batch = _optimize(states, cfg, which)
@@ -710,7 +738,7 @@ class TestDegeneracyThreshold:
 def _filtered(dims, rank, rng):
     """Random state locally filtered to rho_A = I/dA: (rho_A^-1/2 x I) rho (rho_A^-1/2 x I) / dA."""
     rho = random_density(dims, rank, rng)
-    w, v = np.linalg.eigh(reduced_state(rho, "A"))
+    w, v = np.linalg.eigh(partial_trace(rho.mat, rho.dims, "B"))
     f = np.kron((v / np.sqrt(w)) @ dagger(v), np.eye(dims[1]))
     return validate(f @ rho.mat @ dagger(f) / dims[0], dims)
 
@@ -1067,7 +1095,7 @@ def _split_state(dims, weights, rank, rng):
     """Random state of the given rank whose marginal rho_A has eigenvalues
     ``weights`` in a Haar-random basis, so repeated weights make blocks."""
     rho = random_density(dims, rank, rng)
-    w, v = np.linalg.eigh(reduced_state(rho, "A"))
+    w, v = np.linalg.eigh(partial_trace(rho.mat, rho.dims, "B"))
     f = random_unitary(dims[0], rng) @ np.diag(np.sqrt(weights)) @ (v / np.sqrt(w)) @ dagger(v)
     big = np.kron(f, np.eye(dims[1]))
     return validate(big @ rho.mat @ dagger(big), dims)
@@ -1131,7 +1159,7 @@ class TestBlockBranch:
         # starts go to U = I
         cfg = OptimizerConfig()
         rho = make_werner(3, 0.3)
-        basis = invariant_family(reduced_state(rho, "A")).basis
+        basis = _family(rho).basis
         for numeric_min, evals in ((trace_min_numeric, 3 + (2 * cfg.restarts + 2) + 1),
                                    (hs_min_numeric, 3 + 1)):
             res = numeric_min(rho, cfg)
@@ -1146,7 +1174,7 @@ class TestBlockBranch:
                  ((4, 2), (0.3, 0.3, 0.2, 0.2), 3, ((0, 2), (2, 2))))
         for (dims, weights, rank, blocks), old in zip(cases, _OLD_HILL_CLIMB[which]):
             rho = _split_state(dims, weights, rank, rng)
-            assert invariant_family(reduced_state(rho, "A")).blocks == blocks
+            assert _family(rho).blocks == blocks
             res = _NUMERIC_MIN[which](rho)
             assert res.method == METHOD_BLOCK
             assert res.value >= old - 1e-12
@@ -1158,7 +1186,7 @@ class TestBlockBranch:
                   _split_state((3, 3), (0.4, 0.4, 0.2), 9, rng)]
         eps = 1e-5
         for rho in states:
-            fam = invariant_family(reduced_state(rho, "A"))
+            fam = _family(rho)
             search = _search(rho, which, fam)
             p = 2 * len(search.rows)
             for mu in (1e-3, 1e-6):
@@ -1208,7 +1236,7 @@ def _ascent(search, rho, cfg):
     """``search.ascend`` of one state from the starts that ``_optimize``
     gives it (I, the HS optimum and the Haar starts), and the framed
     evaluations of the ascent alone."""
-    blocks = invariant_family(reduced_state(rho, "A")).blocks
+    blocks = _family(rho).blocks
     haar = _haar_starts(blocks, rho.da, 2 * cfg.restarts, cfg.seed)
     starts = np.concatenate([np.eye(rho.da)[None, None], search.jacobi(cfg.tol)[:, None],
                              haar[None]], axis=1)
@@ -1228,7 +1256,7 @@ class TestStageReuse:
     def test_smoothed_from_a_stored_spectrum_is_the_fresh_call(self, which):
         rng = np.random.default_rng(2101)
         for rho in (_filtered((4, 2), 3, rng), _rotated_bell_diagonal(rng)):
-            search = _search(rho, which, invariant_family(reduced_state(rho, "A")))
+            search = _search(rho, which, _family(rho))
             p = 2 * len(search.rows)
             us = search.rotations(rng.standard_normal((6, p)))
             spec = search.spectrum(us, _rows(us))
@@ -1250,7 +1278,7 @@ class TestStageReuse:
                "filtered": lambda: _filtered((4, 2), 3, np.random.default_rng(5)),
                "rotated": lambda: _rotated_bell_diagonal(np.random.default_rng(6))}[case]()
         cfg = OptimizerConfig()
-        fam = invariant_family(reduced_state(rho, "A"))
+        fam = _family(rho)
         u, reused = _ascent(_search(rho, which, fam), rho, cfg)
         again, framed = _ascent(_search(rho, which, fam, _FreshStages), rho, cfg)
         _assert_same_bits(u, again)
@@ -1282,7 +1310,7 @@ class TestRotations:
                  (_split_state((4, 2), (0.3, 0.3, 0.2, 0.2), 3, rng), ((0, 2), (2, 2))))
         out = []
         for rho, blocks in cases:
-            fam = invariant_family(reduced_state(rho, "A"))
+            fam = _family(rho)
             assert fam.blocks == blocks
             out.append(_search(rho, "trace", fam))
         return out
@@ -1304,7 +1332,7 @@ class TestRotations:
 
     def test_larger_blocks_keep_the_eigh_path(self):
         rho = _reference_states()[0]
-        search = _search(rho, "trace", invariant_family(reduced_state(rho, "A")))
+        search = _search(rho, "trace", _family(rho))
         assert search.scatter is None
         x = np.random.default_rng(5).standard_normal((4, 2 * len(search.rows)))
         np.testing.assert_allclose(search.rotations(x), _eigh_exponential(search, x),
@@ -1312,7 +1340,7 @@ class TestRotations:
 
     def test_nondegenerate_marginal_builds_no_ascent_constants(self):
         rho = random_density((2, 2), 3, np.random.default_rng(2014))
-        fam = invariant_family(reduced_state(rho, "A"))
+        fam = _family(rho)
         assert fam.kind == "unique"
         search = _search(rho, "trace", fam)
         assert search.scatter is None and not hasattr(search, "flat_eye")
@@ -1360,14 +1388,13 @@ class TestBuresSupport:
         filtered = _filtered((2, 3), 3, rng)
         for rho, u in ((two_qubit, np.eye(2, dtype=complex)), (filtered, random_unitary(2, rng))):
             assert np.linalg.matrix_rank(rho.mat, tol=1e-10) == 3
-            fam = invariant_family(reduced_state(rho, "A"))
+            fam = _family(rho)
             h = rng.standard_normal(rho.mat.shape) + 1j * rng.standard_normal(rho.mat.shape)
             h = (h + dagger(h)) / 2
             nudged = validate(rho.mat + 1e-15 * h / np.abs(h).max(), rho.dims)
             value, moved = (_value_at(r, "bures", fam, u) for r in (rho, nudged))
             assert abs(moved - value) <= 1e-12
-            measurement = fam.refined([u] if fam.kind != "unique" else [])
-            post = apply_projectors(rho.mat, measurement, rho.db)
+            post = apply_projectors(rho.mat, _member(fam, [u]), rho.db)
             assert abs(value - _support_fidelity(rho, post)) <= 1e-12
 
     def test_full_rank_value_on_the_support(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haar import random_unitary
-from minkit.linalg import PAULIS, dagger, hermitian_eig, hs_norm, tensor_product
+from minkit.linalg import PAULIS, dagger, hermitian_eig, tensor_product
 from minkit.nonlocality import (
     trace_min_isotropic,
     trace_min_numeric,
@@ -22,7 +22,6 @@ from minkit.states import (
     canonicalize,
     density_from_pure,
     detect_family,
-    eof_pure,
     in_tetrahedron,
     load_state,
     make_bell_diagonal,
@@ -35,7 +34,6 @@ from minkit.states import (
     random_pure,
     save_state,
     schmidt,
-    schmidt_reconstruct,
     state_from_json,
     swap_operator,
     validate,
@@ -140,7 +138,8 @@ class TestSchmidt:
     def test_reconstruction(self):
         psi = random_pure((2, 3), seed=11)
         form = schmidt(psi)
-        rebuilt = schmidt_reconstruct(form)
+        roots = np.sqrt(np.clip(form.coefficients, 0.0, None))
+        rebuilt = ((form.basis_a * roots) @ form.basis_b.T).ravel()
         # global phase is not fixed by the decomposition
         overlap = abs(np.vdot(rebuilt, psi.amplitudes))
         assert abs(overlap - 1.0) <= 1e-9
@@ -322,7 +321,7 @@ class TestWerner:
         for _ in range(5):
             u = random_unitary(3, rng)
             uu = tensor_product(u, u)
-            assert hs_norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-10
+            assert np.linalg.norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-10
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="x must"):
@@ -363,7 +362,7 @@ class TestIsotropic:
         for _ in range(5):
             u = random_unitary(3, rng)
             uu = tensor_product(u, u.conj())
-            assert hs_norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-9
+            assert np.linalg.norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-9
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="x must"):
@@ -406,18 +405,6 @@ class TestRandomEnsembles:
 
 
 class TestEof:
-    def test_product(self):
-        assert eof_pure(schmidt(pure_state(np.eye(4, dtype=complex)[0], (2, 2)))) == 0.0
-
-    def test_bell(self):
-        form = schmidt(pure_state(BELL_PHI_PLUS, (2, 2)))
-        assert eof_pure(form) == pytest.approx(1.0, abs=1e-12)
-
-    def test_skewed(self):
-        v = np.sqrt(0.9) * np.eye(4, dtype=complex)[0] + np.sqrt(0.1) * np.eye(4, dtype=complex)[3]
-        form = schmidt(pure_state(v, (2, 2)))
-        assert eof_pure(form) == pytest.approx(0.4690, abs=1e-4)
-
     def test_trace_min_monotone_in_eof(self):
         # both quantities decrease in the dominant coefficient, so across a
         # grid of 2xn pure states the pairs must sort identically
@@ -428,7 +415,8 @@ class TestEof:
                 4, dtype=complex
             )[3]
             form = schmidt(pure_state(v, (2, 2)))
-            eofs.append(eof_pure(form))
+            lam = form.coefficients[form.coefficients > 0.0]
+            eofs.append(-(lam * np.log2(lam)).sum())  # entanglement entropy in bits
             mins.append(trace_min_pure(form))
         order = np.argsort(eofs)
         assert np.all(np.diff(np.array(mins)[order]) >= -1e-12)
