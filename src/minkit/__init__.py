@@ -13,7 +13,6 @@ from .linalg import (
     hermitian_eig,
     partial_trace,
     psd_sqrt,
-    tensor_product,
 )
 from .states import (
     BlochForm,

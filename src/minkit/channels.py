@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, tensor_product
+from .linalg import PAULIS, _integer, _local_action, dagger
 from .nonlocality import OptimizerConfig, _bell_diagonal_value, _optimize
 from .states import (
     DensityMatrix,
@@ -31,6 +31,9 @@ COMPLETENESS_TOL = 1e-10
 # Largest trace-MIN increase under a channel on B that the audit tolerates.
 MONOTONICITY_TOL = 1e-8
 
+# An on-axis |c_i| this close to the largest other one is a tie: the boundary.
+FREEZING_TOL = 1e-9
+
 FLIP_LABELS = {1: "bit_flip", 2: "bit_phase_flip", 3: "phase_flip"}
 
 
@@ -47,8 +50,10 @@ class KrausChannel:
 
 
 def kraus_channel(ops, label: str = "") -> KrausChannel:
-    """Wrap Kraus operators, checking the completeness relation."""
+    """Wrap Kraus operators, checking the completeness relation; an empty list raises."""
     ops = tuple(np.asarray(k, dtype=complex) for k in ops)
+    if not ops:
+        raise ValueError("ops must not be empty")
     d = ops[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for k in ops:
@@ -82,11 +87,16 @@ def flip_channel(axis: int, p: float) -> KrausChannel:
     on-axis component alone; ``p = exp(-gamma t)`` reproduces the usual
     decay parametrization.
     """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    _check_axis(axis)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     return KrausChannel(ops=tuple(_flip_kraus(axis, p)), label=FLIP_LABELS[axis])
+
+
+def _check_axis(axis) -> None:
+    """Check that a flip axis is the integer 1, 2 or 3."""
+    if _integer("axis", axis) not in (1, 2, 3):
+        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
 
 
 def _flip_kraus(axis: int, p) -> np.ndarray:
@@ -102,12 +112,14 @@ def attach_ancilla(rho: DensityMatrix, rho_c: np.ndarray) -> DensityMatrix:
     rho_c = np.asarray(rho_c, dtype=complex)
     dc = rho_c.shape[0]
     validate(rho_c, (1, dc))  # ancilla must itself be a valid state
-    return validate(tensor_product(rho.mat, rho_c), (rho.da, rho.db * dc))
+    return validate(np.kron(rho.mat, rho_c), (rho.da, rho.db * dc))
 
 
 def random_channel(d: int, kraus_count: int, seed) -> KrausChannel:
     """Random CPTP channel from the column partition of a Haar isometry."""
-    if kraus_count < 1:
+    if _integer("d", d) < 1:
+        raise ValueError("d must be >= 1")
+    if _integer("kraus_count", kraus_count) < 1:
         raise ValueError("kraus_count must be >= 1")
     q = _haar_q(_ginibre(_as_rng(seed), (d * kraus_count, d)))
     return kraus_channel(q.reshape(kraus_count, d, d), label=f"random_k{kraus_count}")
@@ -142,8 +154,7 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     c0 = np.asarray(c0, dtype=float)
     if sided not in ("one", "two"):
         raise ValueError(f"sided must be 'one' or 'two', got {sided}")
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    _check_axis(axis)
     if not in_tetrahedron(c0):
         raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     rho0 = make_bell_diagonal(c0)
@@ -217,8 +228,7 @@ def freezing_vertices(axis: int) -> tuple[tuple, tuple]:
     The bit and bit-phase flip regions are the phase-flip ones with the
     roles of the corresponding coordinates exchanged.
     """
-    if axis not in (1, 2, 3):
-        raise ValueError(f"axis must be 1, 2 or 3, got {axis}")
+    _check_axis(axis)
     swap = {1: (2, 1, 0), 2: (0, 2, 1), 3: (0, 1, 2)}[axis]
     pos = tuple(tuple(v[i] for i in swap) for v in _FREEZE_POS_AXIS3)
     neg = tuple(tuple(v[i] for i in swap) for v in _FREEZE_NEG_AXIS3)
@@ -228,17 +238,20 @@ def freezing_vertices(axis: int) -> tuple[tuple, tuple]:
 _FREEZING_LABELS = np.array(["outside", "boundary", "inside"])
 
 
-def classify_freezing(c, axis: int, tol: float = 1e-9) -> str | np.ndarray:
+def classify_freezing(c, axis: int) -> str | np.ndarray:
     """Classify a physical triple against the freezing region of ``axis``.
 
     "inside" means the on-axis correlation strictly dominates (the trace
-    MIN survives the noise forever), "boundary" a tie, "outside" otherwise.
+    MIN survives the noise forever), "boundary" a tie within
+    ``FREEZING_TOL`` (1e-9), "outside" otherwise.
     A stack of triples (..., 3) gives an array of labels; one triple a str.
     """
+    _check_axis(axis)
     a = np.abs(np.asarray(c, dtype=float)).T
     on_axis = a[axis - 1]
     others = np.maximum(*(a[i] for i in range(3) if i != axis - 1))
-    flags = _FREEZING_LABELS[np.where(on_axis > others + tol, 2, on_axis >= others - tol)]
+    flags = _FREEZING_LABELS[np.where(on_axis > others + FREEZING_TOL, 2,
+                                      on_axis >= others - FREEZING_TOL)]
     return str(flags) if flags.ndim == 0 else flags.T
 
 
@@ -280,7 +293,7 @@ def monotonicity_audit(n_states: int, n_channels: int, seed: int,
     and the values before and after take one ``_optimize`` call each; every
     value is bitwise the one-state one.
     """
-    if n_states < 1 or n_channels < 1:
+    if _integer("n_states", n_states) < 1 or _integer("n_channels", n_channels) < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +31,23 @@ PAULIS = np.array(
 )
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int: ints and numpy integers pass, anything else (a
+    float, say, which would fail later inside numpy) raises ``ValueError``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose; a stack (..., n, m) is transposed matrix by matrix."""
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """Entrywise Hermiticity check with tolerance ``tol``."""
-    return bool(np.abs(m - dagger(m)).max() <= tol)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two operators (A acts first, B second)."""
-    return np.kron(a, b)
+def is_hermitian(m: np.ndarray) -> bool:
+    """Entrywise Hermiticity check, within ``HERMITIAN_TOL`` (1e-10) per entry."""
+    return bool(np.abs(m - dagger(m)).max() <= HERMITIAN_TOL)
 
 
 def _local_action(mat, ops, dims: tuple[int, int], party: str) -> np.ndarray:
@@ -119,15 +124,15 @@ class HermEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermEig:
+def hermitian_eig(m: np.ndarray) -> HermEig:
     """Eigendecomposition of a Hermitian matrix with deterministic ordering.
 
     A stack (N, n, n) gives stacked eigenvalues (N, n) and eigenvectors
     (N, n, n) in one ``eigh`` call, each matrix's bitwise what it gives
     alone.  Raises ``ValueError`` if any matrix is not Hermitian within
-    ``tol`` per entry.
+    ``HERMITIAN_TOL`` (1e-10) per entry.
     """
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + dagger(m)) / 2)
     w, v = w[..., ::-1].copy(), v[..., ::-1]

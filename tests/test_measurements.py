@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haar import random_unitary
-from minkit.linalg import PAULIS, dagger, hermitian_eig, partial_trace, tensor_product
+from minkit.linalg import PAULIS, dagger, hermitian_eig, partial_trace
 from minkit.measurements import (
     KIND_BLOCK,
     KIND_QUBIT_SPHERE,
@@ -68,6 +68,10 @@ class TestLocalMeasurement:
         with pytest.raises(ValueError, match="orthogonal|identity"):
             local_measurement([p0, plus])
 
+    def test_rejects_an_empty_list(self):
+        with pytest.raises(ValueError, match="projectors must not be empty"):
+            local_measurement([])
+
 
 class TestSphereMeasurement:
     def test_z_axis_is_computational(self):
@@ -103,7 +107,7 @@ class TestApplyMeasurement:
         rng = np.random.default_rng(21)
         rho_a = np.diag([0.7, 0.3]).astype(complex)
         rho_b = random_density((1, 3), 2, rng).mat
-        joint = validate(tensor_product(rho_a, rho_b), (2, 3))
+        joint = validate(np.kron(rho_a, rho_b), (2, 3))
         eig = hermitian_eig(rho_a)
         m = local_measurement(
             [np.outer(eig.eigenvectors[:, k], eig.eigenvectors[:, k].conj()) for k in range(2)]
@@ -203,7 +207,7 @@ class TestInvariantFamily:
         parts = []
         for k, p in enumerate((0.7, 0.3)):
             proj = np.outer(u[:, k], u[:, k].conj())
-            parts.append(p * tensor_product(proj, random_density((1, 2), 2, rng).mat))
+            parts.append(p * np.kron(proj, random_density((1, 2), 2, rng).mat))
         rho = validate(sum(parts), (2, 2))
         fam = invariant_family(partial_trace(rho.mat, rho.dims, "B"))
         assert fam.kind == KIND_UNIQUE

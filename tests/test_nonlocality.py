@@ -1,5 +1,6 @@
 """Closed-form MIN evaluators and the numeric optimizers that back them."""
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from haar import random_unitary
 from minkit import fidelity, nonlocality
 from minkit.channels import apply_channel_b, random_channel
-from minkit.linalg import PAULIS, dagger, partial_trace, support_roots, tensor_product
+from minkit.linalg import PAULIS, dagger, partial_trace, support_roots
 from minkit.measurements import (
     _rank_one_projectors,
     _turned,
@@ -53,6 +54,9 @@ from minkit.nonlocality import (
     trace_min_werner,
 )
 from minkit.states import (
+    _ginibre,
+    _ginibre_density,
+    _haar_q,
     bloch_decompose,
     bloch_matrix,
     canonicalize,
@@ -137,7 +141,7 @@ class TestTwoQubitClosedForm:
     def test_product_state(self):
         rng = np.random.default_rng(30)
         rho = validate(
-            tensor_product(random_density((1, 2), 2, rng).mat, random_density((1, 2), 2, rng).mat),
+            np.kron(random_density((1, 2), 2, rng).mat, random_density((1, 2), 2, rng).mat),
             (2, 2),
         )
         assert trace_min_two_qubit(rho).value <= 1e-9
@@ -255,7 +259,7 @@ class TestTwoQubitReference:
         # the cancellation the exact-rational discriminant guarded against
         rng = np.random.default_rng(36)
         for _ in range(10):
-            u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             psi = pure_state(u @ _pure_two_level(1.0 - eps).amplitudes, (2, 2))
             l1, l2 = np.linalg.svd(psi.amplitudes.reshape(2, 2), compute_uv=False) ** 2
             rho = density_from_pure(psi)
@@ -400,7 +404,7 @@ class TestNumericOptimizers:
             wide = METHOD_SPHERE if da == 2 else METHOD_BLOCK
             for rho_a, method in ((random_density((1, da), da, rng).mat, METHOD_UNIQUE),
                                   (np.eye(da) / da, wide)):
-                rho = validate(tensor_product(rho_a, rho_b), (da, db))
+                rho = validate(np.kron(rho_a, rho_b), (da, db))
                 for numeric_min in _NUMERIC_MIN.values():
                     res = numeric_min(rho)
                     assert res.method == method
@@ -419,7 +423,7 @@ class TestNumericOptimizers:
         for rho in (random_density((2, 2), 3, rng), make_bell_diagonal([0.4, -0.2, 0.1])):
             base = trace_min_numeric(rho).value
             for _ in range(10):
-                u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+                u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
                 rotated = validate(u @ rho.mat @ dagger(u), (2, 2))
                 assert abs(trace_min_numeric(rotated).value - base) <= 2e-4
 
@@ -637,6 +641,11 @@ class TestAudits:
         with pytest.raises(ValueError, match="counts"):
             audit(0, 0)
 
+    @pytest.mark.parametrize("audit", [relation_audit, oracle_audit])
+    def test_rejects_a_non_integer_count(self, audit):
+        with pytest.raises(ValueError, match="counts must be an integer"):
+            audit(1.5, 0)
+
 
 class TestClosedForm:
     def test_family_values(self):
@@ -687,7 +696,7 @@ class TestDegeneracyThreshold:
         c = np.array(weights) / sum(weights) @ _BELL_TRIPLES
         x = tol * factor * np.array(direction) / np.linalg.norm(direction)
         rng = np.random.default_rng(seed)
-        u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
         mat = bloch_matrix(x, np.array(y), np.diag(c))
         rho = validate(u @ mat @ dagger(u), (2, 2))
         degenerate = factor < 1.0
@@ -744,7 +753,7 @@ def _filtered(dims, rank, rng):
 
 
 def _rotated_bell_diagonal(rng):
-    u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     rho = make_bell_diagonal(random_bell_triple(rng))
     return validate(u @ rho.mat @ dagger(u), (2, 2))
 
@@ -1405,3 +1414,55 @@ class TestBuresSupport:
             res = bures_min_numeric(rho)
             post = apply_projectors(rho.mat, res.measurement, rho.db)
             assert abs(res.value - _support_fidelity(rho, post)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Local-unitary orbits of generic states
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(seed, dims, index):
+    """State ``index`` of cell ``dims`` of the orbit ensemble of ``seed``, and
+    its 24 local unitaries U_A x U_B.
+
+    One ``default_rng(seed)`` draws the cells 3x2, 3x3, 4x2 and 4x3 in that
+    order, 10 states each: a full-rank state filtered to rho_A = I/dA, then
+    at once its 24 rotations, each U_A drawn before U_B.  The filter
+    (rho_A^-1/2 x I) rho (rho_A^-1/2 x I) / dA takes its Hermitian part and
+    renormalizes, as ``filter_to_mixed_a`` of ``bench/reference.py`` does,
+    so that each state is bitwise the ensemble's; the optimizers' misses
+    depend on those last bits."""
+    rng = np.random.default_rng(seed)
+    for cell in ((3, 2), (3, 3), (4, 2), (4, 3)):
+        for k in range(10):
+            m = _ginibre_density(cell[0] * cell[1], cell[0] * cell[1], rng)
+            w, v = np.linalg.eigh(partial_trace(m, cell, "B"))
+            s = np.kron((v / np.sqrt(w)) @ dagger(v), np.eye(cell[1]))
+            f = s @ m @ s / cell[0]
+            f = (f + dagger(f)) / 2
+            rho = validate(f / np.trace(f).real, cell)
+            rotations = [np.kron(*(_haar_q(_ginibre(rng, (d, d))) for d in cell))
+                         for _ in range(24)]
+            if (cell, k) == (dims, index):
+                return rho, rotations
+    raise ValueError(f"no state {index} in cell {dims}")
+
+
+class TestOrbits:
+    """A local unitary on A x B leaves every MIN unchanged, so each call on an
+    orbit must reach the best value found on it.  Each state is taken with 6
+    of its 24 rotations, picked by ``default_rng(0)``.  Trace MIN needs its
+    HS start here: without it the unrotated rng-11 3x3 state falls 5.8e-3
+    short, and a rotated rng-7 4x3 state 1.1e-4."""
+
+    @pytest.mark.parametrize("which", [hs_min_numeric, trace_min_numeric, bures_min_numeric])
+    @pytest.mark.parametrize("seed, dims, index", [(11, (3, 3), 6), (7, (4, 3), 8),
+                                                   (11, (4, 2), 7)])
+    def test_every_call_reaches_the_orbit_best(self, seed, dims, index, which):
+        rho, rotations = _orbit(seed, dims, index)
+        picks = np.random.default_rng(0).choice(24, 6, replace=False)
+        orbit = [rho] + [validate(rotations[j] @ rho.mat @ dagger(rotations[j]), dims)
+                         for j in picks]
+        values = np.array([which(state).value for state in orbit])
+        assert (values >= values.max() - 1e-9).all(), values.max() - values

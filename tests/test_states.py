@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from haar import random_unitary
-from minkit.linalg import PAULIS, dagger, hermitian_eig, tensor_product
+from minkit.linalg import PAULIS, dagger, hermitian_eig
 from minkit.nonlocality import (
     trace_min_isotropic,
     trace_min_numeric,
@@ -48,7 +48,7 @@ class TestValidate:
         assert rho.dims == (2, 2)
 
     def test_rejects_non_psd(self):
-        bad = tensor_product(PAULIS[2], np.eye(2)) / 2
+        bad = np.kron(PAULIS[2], np.eye(2)) / 2
         with pytest.raises(StateInvariantError, match="negative eigenvalue"):
             validate(bad, (2, 2))
 
@@ -219,7 +219,7 @@ class TestCanonicalize:
         rng = np.random.default_rng(13)
         c = np.array([0.5, -0.25, 0.1])
         rho = make_bell_diagonal(c)
-        u = tensor_product(random_unitary(2, rng), random_unitary(2, rng))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
         rotated = validate(u @ rho.mat @ dagger(u), (2, 2))
         _, form = canonicalize(rotated)
         np.testing.assert_allclose(
@@ -287,11 +287,10 @@ class TestBellDiagonal:
         # random points, a vertex, and points just inside and outside a face
         stack = np.concatenate([rng.uniform(-1.0, 1.0, (200, 3)), [[1.0, -1.0, 1.0]],
                                 [[1 / 3, 1 / 3, 1 / 3 + d] for d in (-1e-10, 1e-13, 1e-10)]])
-        for tol in (1e-12, 1e-9):
-            mask = in_tetrahedron(stack.reshape(51, 4, 3), tol)
-            assert mask.shape == (51, 4) and mask.dtype == bool
-            assert mask.ravel().tolist() == [in_tetrahedron(c, tol) for c in stack]
-            assert mask.any() and not mask.all()
+        mask = in_tetrahedron(stack.reshape(51, 4, 3))
+        assert mask.shape == (51, 4) and mask.dtype == bool
+        assert mask.ravel().tolist() == [in_tetrahedron(c) for c in stack]
+        assert mask.any() and not mask.all()
         assert type(in_tetrahedron(stack[0])) is bool
 
     def test_batched_weights_match_row_by_row(self):
@@ -320,7 +319,7 @@ class TestWerner:
         rho = make_werner(3, 0.7)
         for _ in range(5):
             u = random_unitary(3, rng)
-            uu = tensor_product(u, u)
+            uu = np.kron(u, u)
             assert np.linalg.norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-10
 
     def test_rejects_out_of_range(self):
@@ -335,6 +334,12 @@ class TestWerner:
             for f in (make, closed):
                 with pytest.raises(ValueError, match=message):
                     f(d, x)
+
+    @pytest.mark.parametrize("f", [make_werner, make_isotropic, trace_min_werner,
+                                   trace_min_isotropic])
+    def test_rejects_a_non_integer_d(self, f):
+        with pytest.raises(ValueError, match="d must be an integer"):
+            f(2.5, 0.5)
 
 
 class TestIsotropic:
@@ -361,7 +366,7 @@ class TestIsotropic:
         rho = make_isotropic(3, 0.4)
         for _ in range(5):
             u = random_unitary(3, rng)
-            uu = tensor_product(u, u.conj())
+            uu = np.kron(u, u.conj())
             assert np.linalg.norm(uu @ rho.mat @ dagger(uu) - rho.mat) <= 1e-9
 
     def test_rejects_out_of_range(self):
@@ -493,18 +498,17 @@ class TestDetectFamily:
                     pass  # a kick off a pure state can leave the PSD cone
         seen = set()
         for rho in states:
-            for tol in (1e-10, 1e-9, 1e-8):
-                name, params = detect_family(rho, tol)
-                ref_name, ref_params = self._every_test_in_order(rho, tol)
-                assert name == ref_name
-                seen.add(name)
-                for key, value in ref_params.items():
-                    got = params[key]
-                    if key == "schmidt":
-                        for field in ("coefficients", "basis_a", "basis_b"):
-                            assert getattr(got, field).tobytes() == getattr(value, field).tobytes()
-                    else:
-                        assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
+            name, params = detect_family(rho)
+            ref_name, ref_params = self._every_test_in_order(rho, 1e-9)
+            assert name == ref_name
+            seen.add(name)
+            for key, value in ref_params.items():
+                got = params[key]
+                if key == "schmidt":
+                    for field in ("coefficients", "basis_a", "basis_b"):
+                        assert getattr(got, field).tobytes() == getattr(value, field).tobytes()
+                else:
+                    assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
         assert seen == {"pure", "bell_diagonal", "werner", "isotropic", "generic"}
 
 
