@@ -263,7 +263,7 @@ def freezing_region(axis: int, resolution: int = 0) -> dict:
     their labels (N,) from ``classify_freezing``; both empty without.
     """
     pos, neg = freezing_vertices(axis)
-    grid = np.linspace(-1.0, 1.0, max(resolution, 0))
+    grid = np.linspace(-1.0, 1.0, max(_integer("resolution", resolution), 0))
     cube = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     points = cube[in_tetrahedron(cube)]
     flags = classify_freezing(points, axis)
@@ -296,7 +296,7 @@ def monotonicity_audit(n_states: int, n_channels: int, seed: int,
     if _integer("n_states", n_states) < 1 or _integer("n_channels", n_channels) < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     # the draws of random_density((2, 2), 1 + i % 4, rng), validated at once
     mats = np.array([_ginibre_density(4, 1 + i % 4, rng) for i in range(n_states)])
     states = validate(mats, (2, 2))

@@ -46,6 +46,7 @@ from .measurements import (
 from .states import (
     DensityMatrix,
     SchmidtForm,
+    _as_rng,
     _check_family_args,
     _ginibre,
     _haar_q,
@@ -91,7 +92,10 @@ class OptimizerConfig:
     Trace and Bures MIN ascend from the identity, the HS optimum and
     2 * ``restarts`` Haar block unitaries drawn from ``seed``; a start
     stops once its predicted gain is at most ``tol``, and its step grows
-    while it sees no positive curvature (``_BlockSearch.ascend``).  The
+    while it sees no positive curvature (``_BlockSearch.ascend``); on a
+    family with one index pair each trial step is also cut to tangent norm
+    1/2, which keeps a long step from wrapping around the Bloch sphere
+    (with more pairs a cut would move starts to other local maxima).  The
     result is the first start within ``tol`` of the best, so that ties go
     to the identity; its value can sit up to ``tol`` below the best start's.
     The states of one call whose families share their blocks take the same
@@ -339,12 +343,14 @@ def _canonical_axis(axis: np.ndarray) -> np.ndarray:
 # Smoothing widths of the block ascent, one stage each; the cap on the
 # steps of the last stage, and of each stage before it, which only
 # warm-starts the next one; the factor by which the ascent lengthens its
-# step after an accepted step that shows no positive curvature; the cap on
-# Jacobi sweeps.
+# step after an accepted step that shows no positive curvature; the bound
+# on the tangent norm of a trial step on a family with one index pair; the
+# cap on Jacobi sweeps.
 _SMOOTHING = (1e-3, 1e-6, 1e-9)
 _ASCENT_STEPS = 500
 _WARM_STEPS = 40
 _STRETCH = 4.0
+_PAIR_STEP = 0.5
 _JACOBI_SWEEPS = 100
 
 
@@ -418,6 +424,11 @@ class _BlockSearch:
     support of rho = W W^dag, from the W (N, n, rank) ``roots`` of
     ``support_roots``, by ``support_fidelity``: the kernel of
     ``minkit.fidelity``.
+
+    ``bounded`` cuts the ascent's trial steps on a family with one index
+    pair (the qubit sphere, or dA = 3 split 2 + 1), where the pair rotation
+    of a long step wraps around the sphere; with more pairs a cut changes
+    which local maximum a start reaches, so their steps stay uncut.
     """
 
     def __init__(self, mats: np.ndarray, dims: tuple[int, int], which: str,
@@ -586,6 +597,17 @@ class _BlockSearch:
                 kept[moved] = new
         return spec
 
+    def bounded(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Step lengths ``t`` (k,) along the directions ``d`` (k, p), cut so
+        that no trial step t d has tangent norm above ``_PAIR_STEP`` when the
+        family has one index pair; ``t`` itself for more pairs.  A cut row's
+        pair turns by at most ``_PAIR_STEP`` / sqrt(2) rad.  A row whose t
+        was halved keeps its d, so the cut leaves it as it is."""
+        if len(self.pairs) > 1:
+            return t
+        # the floor keeps a zero d from dividing by zero
+        return np.minimum(t, _PAIR_STEP / np.maximum(np.sqrt((d * d).sum(-1)), 1e-300))
+
     def ascend(self, starts: np.ndarray, tol: float) -> np.ndarray:
         """Best U of each state (N, dA, dA) after a quasi-Newton ascent from
         each of its starts ``starts`` (N, K, dA, dA), every row in lockstep.
@@ -598,7 +620,12 @@ class _BlockSearch:
         (s.y <= 0 with y = g - g_trial, a pair that ``_bfgs_update`` skips):
         then the estimate has learned nothing, and t grows by ``_STRETCH``,
         so that a start on a flat or saddle-like patch does not creep at one
-        short step.  The inverse Hessian starts as I and carries over from
+        short step.  On a family with one index pair, ``bounded`` cuts t at
+        each stage start and after each step, so that no trial step turns
+        the pair by more than ``_PAIR_STEP`` / sqrt(2) rad: there a BFGS
+        step after a flat patch can ask for tangent norms of 60 and more,
+        which wrap around the sphere and cost a halving each.  The
+        inverse Hessian starts as I and carries over from
         stage to stage; a start's first accepted step scales it by s.y / y.y
         before the update.  A start stops once its predicted gain g.H is at
         most ``tol``, whether or not its last trial succeeded, or once t
@@ -632,7 +659,7 @@ class _BlockSearch:
             u, h, new, rows = us[live], inv[live], fresh[live], state[live]
             val, tr, g = val[live], true[live], grad[live]
             d = (h @ g[..., None])[..., 0]
-            slope, t = (g * d).sum(-1), np.ones(len(live))
+            slope, t = (g * d).sum(-1), self.bounded(np.ones(len(live)), d)
             for _ in range(_ASCENT_STEPS if mu == _SMOOTHING[-1] else _WARM_STEPS):
                 if not live.size:
                     break
@@ -650,7 +677,7 @@ class _BlockSearch:
                 # a row not taken keeps the h and g its d came from, so d is bitwise unchanged
                 d = (h @ g[..., None])[..., 0]
                 slope = (g * d).sum(-1)
-                t = np.where(ok, np.where(curved, 1.0, _STRETCH * t), t / 2)
+                t = self.bounded(np.where(ok, np.where(curved, 1.0, _STRETCH * t), t / 2), d)
                 stop = (slope <= tol) | (t < 1e-10)
                 if stop.any():
                     gone = live[stop]
@@ -823,7 +850,7 @@ def relation_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -
     if _integer("counts", counts) < 1:
         raise ValueError("counts must be >= 1")
     cfg = cfg or OptimizerConfig()
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     families = [make_werner(d, float(x)) for d in (2, 3, 4) for x in np.linspace(-1.0, 1.0, 11)]
     families += [make_isotropic(d, float(x)) for d in (2, 3) for x in np.linspace(0.0, 1.0, 11)]
     families += [make_bell_diagonal(random_bell_triple(rng)) for _ in range(counts)]
@@ -890,7 +917,7 @@ def oracle_audit(counts: int, seed: int, cfg: OptimizerConfig | None = None) -> 
     if cfg.degeneracy_tol >= 1.0:
         raise ValueError(
             "the oracle audit needs degeneracy_tol below 1: no two-qubit state has |x| > 1")
-    rng = np.random.default_rng(seed)
+    rng = _as_rng(seed)
     generic, attempts, floor = [], 0, max(0.05, cfg.degeneracy_tol)
     while len(generic) < counts:
         rho = random_density((2, 2), rank=1 + attempts % 4, seed=rng)

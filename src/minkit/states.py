@@ -287,9 +287,16 @@ def make_isotropic(d: int, x: float) -> DensityMatrix:
 
 
 def _as_rng(seed) -> np.random.Generator:
+    """``seed`` itself when it is a ``Generator``, else a generator seeded by
+    it; any seed but an integer raises ``ValueError``."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_integer("seed", seed))
+
+
+def _size(dims: tuple[int, int]) -> int:
+    """dA * dB; dims that are not integers raise ``ValueError``."""
+    return _integer("dims", dims[0]) * _integer("dims", dims[1])
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -307,18 +314,18 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
 
 def random_pure(dims: tuple[int, int], seed) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    v = _ginibre(_as_rng(seed), (dims[0] * dims[1],))
+    v = _ginibre(_as_rng(seed), (_size(dims),))
     return pure_state(v / np.linalg.norm(v), dims)
 
 
 def random_density(dims: tuple[int, int], rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random mixed state of the given rank."""
-    return validate(_ginibre_density(dims[0] * dims[1], rank, _as_rng(seed)), dims)
+    return validate(_ginibre_density(_size(dims), rank, _as_rng(seed)), dims)
 
 
 def _ginibre_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """The unvalidated n x n matrix of ``random_density``, with its draws."""
-    if not 1 <= rank <= n:
+    if not 1 <= _integer("rank", rank) <= n:
         raise ValueError(f"rank must lie in [1, {n}], got {rank}")
     g = _ginibre(rng, (n, rank))
     m = g @ dagger(g)

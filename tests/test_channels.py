@@ -289,6 +289,10 @@ class TestFreezingRegion:
         report = freezing_region(3)
         assert report["points"].shape == (0, 3) and report["flags"].shape == (0,)
 
+    def test_rejects_a_non_integer_resolution(self):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            freezing_region(3, 2.5)
+
 
 @functools.lru_cache(maxsize=None)
 def _physical_lattice(resolution):
@@ -330,6 +334,10 @@ class TestMonotonicityAudit:
     def test_rejects_a_non_integer_count(self, args, message):
         with pytest.raises(ValueError, match=message):
             monotonicity_audit(*args)
+
+    def test_rejects_a_non_integer_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            monotonicity_audit(1, 1, 1.5)
 
     @pytest.mark.parametrize(
         "args", [(50, 4, 42, None), (30, 3, 7, OptimizerConfig(degeneracy_tol=0.2))])
@@ -400,6 +408,10 @@ class TestArgumentChecks:
     def test_random_channel_rejects_bad_sizes(self, args, message):
         with pytest.raises(ValueError, match=message):
             random_channel(*args)
+
+    def test_random_channel_rejects_a_non_integer_seed(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            random_channel(2, 1, 1.5)
 
     def test_kraus_channel_rejects_an_empty_list(self):
         with pytest.raises(ValueError, match="ops must not be empty"):

@@ -1,4 +1,4 @@
-"""Kernel linear algebra: products, partial traces, decompositions, fidelity."""
+"""Kernel linear algebra: local actions, partial traces, decompositions, fidelity."""
 
 import numpy as np
 import pytest
@@ -31,31 +31,6 @@ def _random_density(rng, n):
     g = _random_matrix(rng, n)
     m = g @ dagger(g)
     return m / np.trace(m).real
-
-
-class TestTensorProduct:
-    def test_identity_identity(self):
-        np.testing.assert_allclose(np.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_x_squared_is_antidiagonal(self):
-        out = np.kron(PAULIS[0], PAULIS[0])
-        np.testing.assert_allclose(out, np.fliplr(np.eye(4)))
-
-    def test_hs_norm_multiplicative(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            a, b = _random_matrix(rng, 2), _random_matrix(rng, 2)
-            na, nb, nab = (np.linalg.norm(m) for m in (a, b, np.kron(a, b)))
-            assert abs(nab - na * nb) <= 1e-12
-
-    def test_trace_norm_multiplicative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a, b = _random_matrix(rng, 2), _random_matrix(rng, 3)
-            # trace norm: the sum of singular values
-            ta, tb, tab = (np.linalg.svd(m, compute_uv=False).sum()
-                           for m in (a, b, np.kron(a, b)))
-            assert abs(tab - ta * tb) <= 1e-10
 
 
 def _kron_action(mat, ops, dims, party):

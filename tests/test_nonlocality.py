@@ -646,6 +646,11 @@ class TestAudits:
         with pytest.raises(ValueError, match="counts must be an integer"):
             audit(1.5, 0)
 
+    @pytest.mark.parametrize("audit", [relation_audit, oracle_audit])
+    def test_rejects_a_non_integer_seed(self, audit):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            audit(1, 1.5)
+
 
 class TestClosedForm:
     def test_family_values(self):
@@ -874,7 +879,7 @@ class TestSphereAscent:
         total = sum(_NUMERIC_MIN[which](rho).iterations
                     for seed in (0, 1, 2) for rho in _sphere_states(seed)
                     for which in ("trace", "bures"))
-        assert total <= 2176
+        assert total <= 1955
 
     def test_flat_start_lengthens_its_step(self):
         # Bures on this rotated Bell-diagonal state has a start that makes
@@ -1295,6 +1300,64 @@ class TestStageReuse:
         if case == "werner":  # one evaluation per start, against one per start and stage
             starts = 2 * cfg.restarts + 2
             assert (reused, framed) == (starts, 3 * starts)
+
+
+class _RecordedSteps(_BlockSearch):
+    """A block search that records every trial step ``rotations`` receives."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.steps = []
+
+    def rotations(self, x):
+        self.steps.append(x.copy())
+        return super().rotations(x)
+
+
+class TestBoundedSteps:
+    """On a family with one index pair ``ascend`` cuts each trial step to
+    tangent norm ``_PAIR_STEP``; with more pairs its steps are uncut."""
+
+    @staticmethod
+    def _steps(rho, which):
+        """The ascent's result and the list of its lockstep trial steps."""
+        search = _search(rho, which, _family(rho), _RecordedSteps)
+        u, _ = _ascent(search, rho, OptimizerConfig())
+        return u, search.steps
+
+    @staticmethod
+    def _longest(steps):
+        """The largest tangent norm among recorded trial steps."""
+        return max(np.sqrt((x**2).sum(-1)).max() for x in steps)
+
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    @pytest.mark.parametrize("case", ["rotated", "filtered", "split"])
+    def test_one_pair_steps_are_cut(self, case, which, monkeypatch):
+        # a rotated Bell-diagonal and a filtered 2x3 state on the qubit
+        # sphere, and a 3x3 state whose rho_A splits 2 + 1
+        rho = {"rotated": lambda: _rotated_bell_diagonal(np.random.default_rng(6)),
+               "filtered": lambda: _filtered((2, 3), 3, np.random.default_rng(64)),
+               "split": lambda: _split_state((3, 3), (0.4, 0.4, 0.2), 9,
+                                             np.random.default_rng(1996))}[case]()
+        assert len(_search(rho, which, _family(rho)).pairs) == 1
+        cap = nonlocality._PAIR_STEP
+        assert self._longest(self._steps(rho, which)[1]) <= cap * (1 + 1e-12)
+        # uncut, the same ascent asks for longer steps
+        monkeypatch.setattr(nonlocality, "_PAIR_STEP", math.inf)
+        assert self._longest(self._steps(rho, which)[1]) > 2 * cap
+
+    @pytest.mark.parametrize("which", ["trace", "bures"])
+    @pytest.mark.parametrize("case", ["werner", "filtered"])
+    def test_multi_pair_ascent_is_uncut(self, case, which, monkeypatch):
+        rho = {"werner": lambda: make_werner(3, 0.3),
+               "filtered": lambda: _filtered((4, 2), 3, np.random.default_rng(5))}[case]()
+        u, steps = self._steps(rho, which)
+        monkeypatch.setattr(nonlocality, "_PAIR_STEP", math.inf)
+        again, uncut = self._steps(rho, which)
+        _assert_same_bits(u, again)
+        assert len(steps) == len(uncut)
+        for x, y in zip(steps, uncut):
+            _assert_same_bits(x, y)
 
 
 def _eigh_exponential(search, x):

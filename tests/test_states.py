@@ -408,6 +408,32 @@ class TestRandomEnsembles:
         assert np.all(w[2:] > 1e-8)
         assert np.all(np.abs(w[:2]) < 1e-8)
 
+    def test_density_rejects_a_non_integer_rank(self):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            random_density((2, 2), 1.5, 0)
+
+    def test_pure_rejects_non_integer_dims(self):
+        with pytest.raises(ValueError, match="dims must be an integer"):
+            random_pure((2.5, 2), 0)
+
+    @pytest.mark.parametrize("draw", [
+        lambda seed: random_density((2, 2), 2, seed),
+        lambda seed: random_pure((2, 2), seed),
+        random_bell_triple,
+    ], ids=["random_density", "random_pure", "random_bell_triple"])
+    def test_rejects_a_non_integer_seed(self, draw):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw(1.5)
+
+    def test_a_generator_seed_draws_on(self):
+        # a Generator is used as it is, an integer seed through default_rng
+        rng = np.random.default_rng(5)
+        first, second = random_bell_triple(rng), random_bell_triple(rng)
+        again = np.random.default_rng(5)
+        assert first.tobytes() == random_bell_triple(again).tobytes()
+        assert second.tobytes() == random_bell_triple(again).tobytes()
+        assert random_bell_triple(np.uint32(5)).tobytes() == first.tobytes()
+
 
 class TestEof:
     def test_trace_min_monotone_in_eof(self):
