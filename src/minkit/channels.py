@@ -139,7 +139,6 @@ class DynamicsTrace:
     n1_t: np.ndarray
     n2_t: np.ndarray
     channel: str
-    sided: str
 
 
 def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
@@ -196,7 +195,6 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
         n1_t=_bell_diagonal_value(c_t, True),
         n2_t=_bell_diagonal_value(c_t, False),
         channel=FLIP_LABELS[axis],
-        sided=sided,
     )
 
 

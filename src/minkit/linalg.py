@@ -40,6 +40,12 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _tolerance(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and >= 0 (NaN is not)."""
+    if not 0 <= value < np.inf:  # negated so that NaN fails it too
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose; a stack (..., n, m) is transposed matrix by matrix."""
     return m.conj().swapaxes(-1, -2)

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULIS, _local_action, hermitian_eig, is_hermitian
+from .linalg import PAULIS, _local_action, _tolerance, hermitian_eig, is_hermitian
 from .states import DensityMatrix, validate
 
 PROJECTOR_TOL = 1e-10
 DEGENERACY_TOL = 1e-8
-
-KIND_UNIQUE = "unique"
-KIND_QUBIT_SPHERE = "qubit_sphere"
-KIND_BLOCK = "block_degenerate"
 
 
 @dataclass(frozen=True)
@@ -96,17 +92,13 @@ class MeasurementFamily:
 
     Each member is the eigenbasis columns (``basis``, eigenvalues
     descending) turned by a unitary inside each degenerate block;
-    ``blocks`` lists (offset, size).
-
-    kind "unique":           every block has size 1, so the family is the
-                             one measurement on the ``basis`` columns: zero
-                             free parameters.
-    kind "block_degenerate": some block has size >= 2.
-    kind "qubit_sphere":     the one-block case dA = 2, ``blocks`` ((0, 2),):
-                             every direction on the Bloch sphere.
+    ``blocks`` lists (offset, size).  When every block has size 1
+    (``len(blocks) == dA``) the family is the one measurement on the
+    ``basis`` columns, with zero free parameters.  Otherwise some block has
+    size >= 2; for dA = 2 that is the one block ((0, 2),), every direction
+    on the Bloch sphere.
     """
 
-    kind: str
     basis: np.ndarray
     blocks: tuple[tuple[int, int], ...]
 
@@ -137,25 +129,22 @@ def invariant_family(
     near-degenerate spectra are deliberately treated as degenerate because
     the induced measurement (and the nonlocality value) is discontinuous
     across the gap closing.  A stack (N, dA, dA) of reduced states takes one
-    ``hermitian_eig`` call and gives a list of N families.
+    ``hermitian_eig`` call and gives a list of N families.  A tolerance
+    that is negative or not finite raises ``ValueError``.
     """
+    _tolerance("degeneracy_tol", degeneracy_tol)
     eig = hermitian_eig(rho_a)
     # where each descending spectrum has a gap wider than the tolerance
     gaps = (eig.eigenvalues[..., :-1] - eig.eigenvalues[..., 1:] > degeneracy_tol).tolist()
     if eig.eigenvalues.ndim == 1:
-        kind, blocks = _blocks(tuple(gaps))
-        return MeasurementFamily(kind, eig.eigenvectors, blocks)
-    return [MeasurementFamily(kind, v, blocks)  # positional: a stack builds many
-            for (kind, blocks), v in zip(map(_blocks, map(tuple, gaps)), eig.eigenvectors)]
+        return MeasurementFamily(eig.eigenvectors, _blocks(tuple(gaps)))
+    return [MeasurementFamily(v, blocks)  # positional: a stack builds many
+            for blocks, v in zip(map(_blocks, map(tuple, gaps)), eig.eigenvectors)]
 
 
 @functools.lru_cache(maxsize=256)
-def _blocks(gaps: tuple[bool, ...]) -> tuple[str, tuple[tuple[int, int], ...]]:
-    """Kind and blocks of a family whose spectrum has a gap after eigenvalue
-    k exactly where ``gaps[k]``."""
-    d = len(gaps) + 1
-    starts = [0] + [k + 1 for k, gap in enumerate(gaps) if gap] + [d]
-    blocks = tuple((a, b - a) for a, b in zip(starts, starts[1:]))
-    if len(blocks) == d:  # every block has size 1
-        return KIND_UNIQUE, blocks
-    return (KIND_QUBIT_SPHERE if d == 2 else KIND_BLOCK), blocks
+def _blocks(gaps: tuple[bool, ...]) -> tuple[tuple[int, int], ...]:
+    """Blocks of a family whose spectrum has a gap after eigenvalue k
+    exactly where ``gaps[k]``."""
+    starts = [0] + [k + 1 for k, gap in enumerate(gaps) if gap] + [len(gaps) + 1]
+    return tuple((a, b - a) for a, b in zip(starts, starts[1:]))

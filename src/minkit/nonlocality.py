@@ -28,6 +28,7 @@ from .linalg import (
     PAULIS,
     _integer,
     _local_action,
+    _tolerance,
     dagger,
     partial_trace,
     support_fidelity,
@@ -35,8 +36,6 @@ from .linalg import (
 )
 from .measurements import (
     DEGENERACY_TOL,
-    KIND_QUBIT_SPHERE,
-    KIND_UNIQUE,
     LocalMeasurement,
     _rank_one_projectors,
     _turned,
@@ -115,8 +114,7 @@ class OptimizerConfig:
         # a negated range test, so that NaN fails it too
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        if not 0 <= self.degeneracy_tol < math.inf:
-            raise ValueError("degeneracy_tol must be finite and >= 0")
+        _tolerance("degeneracy_tol", self.degeneracy_tol)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -180,7 +178,8 @@ def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_T
     (I - e e^T) T.  With a nondegenerate marginal (|x| above
     ``degenerate_tol``) the measurement is fixed, e = x/|x|; at x = 0 the
     maximum over the sphere is the largest singular value of T.  Local
-    rotations keep singular values, so no canonical frame is needed.
+    rotations keep singular values, so no canonical frame is needed.  A
+    ``degenerate_tol`` that is negative or not finite raises ``ValueError``.
     """
     return MinResult(value=_two_qubit_value(rho, True, degenerate_tol), method=METHOD_CLOSED)
 
@@ -191,7 +190,8 @@ def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_TOL)
     The squared Hilbert-Schmidt norm of the disturbance along e is
     1/4 ||(I - e e^T) T||_F^2, with e = x/|x| for a nondegenerate marginal;
     at x = 0 the maximum over the sphere is a quarter of the sum of the two
-    largest squared singular values of T.
+    largest squared singular values of T.  ``degenerate_tol`` is checked as
+    in ``trace_min_two_qubit``.
     """
     return MinResult(value=_two_qubit_value(rho, False, degenerate_tol), method=METHOD_CLOSED)
 
@@ -200,6 +200,7 @@ def _two_qubit_value(rho: DensityMatrix, trace: bool, degenerate_tol: float) -> 
     """Trace (``trace``) or HS closed form of a two-qubit state."""
     if rho.dims != (2, 2):
         raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
+    _tolerance("degenerate_tol", degenerate_tol)
     form = bloch_decompose(rho)
     xn = float(np.linalg.norm(form.x))
     if xn <= degenerate_tol:
@@ -243,10 +244,11 @@ def closed_form(rho: DensityMatrix, measure: str,
     has no closed form).  Returns None when no closed form applies.
     ``degeneracy_tol`` is the branch threshold of the two-qubit closed forms;
     pass the numeric optimizer's ``OptimizerConfig.degeneracy_tol`` so both
-    sides split the branches at the same |x|.
+    sides split the branches at the same |x|; it must be finite and >= 0.
     """
     if measure not in ("n1", "n2", "nb"):
         raise ValueError(f"measure must be 'n1', 'n2' or 'nb', got {measure!r}")
+    _tolerance("degeneracy_tol", degeneracy_tol)
     if measure == "nb":
         return None
     return _closed_value(rho, measure == "n1", *detect_family(rho), degeneracy_tol)
@@ -741,17 +743,17 @@ def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> li
         ranks = [root.shape[1] for root in roots]
     shapes: dict = {}
     for i, (fam, rank) in enumerate(zip(fams, ranks)):
-        shapes.setdefault((fam.kind, fam.blocks, rank), []).append(i)
+        shapes.setdefault((fam.blocks, rank), []).append(i)
     results: list = [None] * len(rhos)
-    for (kind, blocks, rank), idx in shapes.items():
+    for (blocks, rank), idx in shapes.items():
         bases = np.array([fams[i].basis for i in idx])
         stack = mats if len(idx) == len(rhos) else mats[idx]
         search = _BlockSearch(stack, dims, which, bases, blocks,
                               np.array([roots[i] for i in idx]) if rank else None)
-        if kind == KIND_UNIQUE:
+        if len(blocks) == dims[0]:  # every block has size 1: no free parameter
             values, iterations, cols, method = search.values(), [1] * len(idx), bases, METHOD_UNIQUE
         else:
-            method = METHOD_SPHERE if kind == KIND_QUBIT_SPHERE else METHOD_BLOCK
+            method = METHOD_SPHERE if dims[0] == 2 else METHOD_BLOCK
             u = search.jacobi(cfg.tol)
             if which != "hs":
                 haar = _haar_starts(blocks, dims[0], 2 * cfg.restarts, cfg.seed)
@@ -763,7 +765,7 @@ def _optimize(rhos: list[DensityMatrix], cfg: OptimizerConfig, which: str) -> li
             cols = _turned(bases, blocks, [u[:, o : o + s, o : o + s] for o, s in blocks if s > 1])
         projectors = zip(*_rank_one_projectors(cols).swapaxes(0, 1))
         for i, value, ps, n in zip(idx, values.tolist(), projectors, iterations):
-            axis = _bloch_axis(ps[0]) if kind == KIND_QUBIT_SPHERE else None
+            axis = _bloch_axis(ps[0]) if method == METHOD_SPHERE else None
             results[i] = MinResult(value, method, LocalMeasurement(ps), axis, n)
     return results
 
@@ -875,7 +877,7 @@ def _sumabs_reading(rho: DensityMatrix) -> float:
     Euclidean reading rather than adopting it.
     """
     _, form = canonicalize(rho)
-    c, x = form.c, form.x
+    c, x = np.diagonal(form.t), form.x
     xn = float(np.abs(x).sum())
     if xn < 1e-8:
         return float(np.abs(c).max())

@@ -8,6 +8,7 @@ real/imaginary parts of the density matrix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,28 +80,28 @@ class SchmidtForm:
 class BlochForm:
     """Two-qubit Pauli decomposition: local vectors and correlation tensor.
 
-    ``c`` is the diagonal of ``t`` and equals the correlation triple once
-    the tensor is diagonal (e.g. after ``canonicalize``); entries may be
-    negative.
+    x_i = tr(rho s_i x I), y_j = tr(rho I x s_j) and t_ij = tr(rho s_i x s_j).
+    Once ``t`` is diagonal (e.g. after ``canonicalize``) its diagonal is the
+    correlation triple; entries may be negative.
     """
 
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
-    c: np.ndarray
 
 
 def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix | list[DensityMatrix]:
     """Check density-matrix invariants and wrap the matrix.
 
-    Raises ``StateInvariantError`` naming the first failed invariant:
-    positive dims, shape, finite entries, Hermiticity (1e-10/entry),
+    Dims that are not two integers raise ``ValueError``.  Otherwise raises
+    ``StateInvariantError`` naming the first failed invariant: positive
+    dims, shape, finite entries, Hermiticity (1e-10/entry),
     positivity (eigenvalues above the clamp tolerance), unit trace (1e-10).
     One matrix, or each of a stack (N, n, n), which gives a list of N
     states, is checked in one stacked pass, so a matrix raises the same
     message alone and in a stack; the first matrix that fails raises.
     """
-    da, db = int(dims[0]), int(dims[1])
+    da, db = _dims(dims)
     if da < 1 or db < 1:
         raise StateInvariantError(f"dims must be positive, got {dims}")
     mat = np.asarray(mat, dtype=complex)
@@ -129,15 +130,15 @@ def validate(mat: np.ndarray, dims: tuple[int, int]) -> DensityMatrix | list[Den
 
 
 def pure_state(amplitudes: np.ndarray, dims: tuple[int, int]) -> PureState:
-    """Wrap amplitudes as a ``PureState``, checking unit norm (1e-12)."""
+    """Wrap amplitudes as a ``PureState``, checking integer dims and unit norm (1e-12)."""
     v = np.asarray(amplitudes, dtype=complex).ravel()
-    da, db = dims
+    da, db = _dims(dims)
     if v.size != da * db:
         raise StateInvariantError(f"vector length {v.size} incompatible with dims {dims}")
     norm = np.linalg.norm(v)
     if not abs(norm - 1.0) <= 1e-12:  # negated so that a NaN norm counts as bad
         raise StateInvariantError(f"vector norm {norm:.12g}, expected 1")
-    return PureState(amplitudes=v, dims=(int(da), int(db)))
+    return PureState(amplitudes=v, dims=(da, db))
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:
@@ -181,8 +182,7 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     coeffs = np.einsum(
         "abcd,ica,jdb->ij", rho.mat.reshape(2, 2, 2, 2), _PAULI_BASIS, _PAULI_BASIS
     ).real
-    t = coeffs[1:, 1:].copy()
-    return BlochForm(x=coeffs[1:, 0].copy(), y=coeffs[0, 1:].copy(), t=t, c=np.diagonal(t).copy())
+    return BlochForm(x=coeffs[1:, 0].copy(), y=coeffs[0, 1:].copy(), t=coeffs[1:, 1:].copy())
 
 
 def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
@@ -191,9 +191,10 @@ def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
     The correlation tensor is SVD-factored, T = O1 diag(c) O2^T, with
     determinant signs absorbed so both O1 and O2 are proper rotations; local
     unitaries act on Bloch vectors as these rotations, so the rotated state
-    has local vectors O1^T x, O2^T y and tensor ``diag(c)``.  The entries of
-    ``c`` are ordered by decreasing magnitude; the last carries the sign
-    that the proper-rotation constraint forces.
+    has local vectors O1^T x, O2^T y and tensor ``diag(c)``; the triple
+    ``c`` is ``np.diagonal(form.t)``.  Its entries are ordered by decreasing
+    magnitude; the last carries the sign that the proper-rotation
+    constraint forces.
     """
     form = bloch_decompose(rho)
     u, s, vh = np.linalg.svd(form.t)
@@ -203,7 +204,7 @@ def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
     x = (u.T @ form.x) * [1.0, 1.0, d1]
     y = (vh @ form.y) * [1.0, 1.0, d2]
     t = np.diag(c)
-    return validate(bloch_matrix(x, y, t), (2, 2)), BlochForm(x=x, y=y, t=t, c=c)
+    return validate(bloch_matrix(x, y, t), (2, 2)), BlochForm(x=x, y=y, t=t)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +295,11 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(_integer("seed", seed))
 
 
-def _size(dims: tuple[int, int]) -> int:
-    """dA * dB; dims that are not integers raise ``ValueError``."""
-    return _integer("dims", dims[0]) * _integer("dims", dims[1])
+def _dims(dims) -> tuple[int, int]:
+    """(dA, dB) as ints; dims that are not two integers raise ``ValueError``."""
+    if len(dims) != 2:
+        raise ValueError(f"dims must be two integers, got {dims!r}")
+    return _integer("dims", dims[0]), _integer("dims", dims[1])
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -314,13 +317,13 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
 
 def random_pure(dims: tuple[int, int], seed) -> PureState:
     """Haar-random pure state (normalized complex Gaussian vector)."""
-    v = _ginibre(_as_rng(seed), (_size(dims),))
+    v = _ginibre(_as_rng(seed), (math.prod(_dims(dims)),))
     return pure_state(v / np.linalg.norm(v), dims)
 
 
 def random_density(dims: tuple[int, int], rank: int, seed) -> DensityMatrix:
     """Ginibre-induced random mixed state of the given rank."""
-    return validate(_ginibre_density(_size(dims), rank, _as_rng(seed)), dims)
+    return validate(_ginibre_density(math.prod(_dims(dims)), rank, _as_rng(seed)), dims)
 
 
 def _ginibre_density(n: int, rank: int, rng: np.random.Generator) -> np.ndarray:
@@ -378,7 +381,7 @@ def detect_family(rho: DensityMatrix) -> tuple[str, dict]:
             and np.linalg.norm(form.y) <= tol
             and np.abs(off).max() <= tol
         ):
-            return "bell_diagonal", {"c": form.c}
+            return "bell_diagonal", {"c": np.diagonal(form.t).copy()}
     if da == db:
         d = da
         # both models have rho_A = c I; a residual of tol moves rho_A by <= d tol entrywise

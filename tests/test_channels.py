@@ -112,7 +112,7 @@ class TestFlipChannel:
         out = apply_channel_b(rho, flip_channel(axis, p))
         expected = c0 * p
         expected[axis - 1] = c0[axis - 1]
-        np.testing.assert_allclose(bloch_decompose(out).c, expected, atol=1e-12)
+        np.testing.assert_allclose(np.diagonal(bloch_decompose(out).t), expected, atol=1e-12)
 
     def test_two_sided_multiplier(self):
         c0 = np.array([0.2, 0.3, 0.45])
@@ -122,7 +122,7 @@ class TestFlipChannel:
         out = apply_channel_a(apply_channel_b(rho, ch), ch)
         expected = c0 * np.exp(-1.0)
         expected[2] = c0[2]
-        np.testing.assert_allclose(bloch_decompose(out).c, expected, atol=1e-12)
+        np.testing.assert_allclose(np.diagonal(bloch_decompose(out).t), expected, atol=1e-12)
 
 
 class TestAttachAncilla:

@@ -6,9 +6,6 @@ import pytest
 from haar import random_unitary
 from minkit.linalg import PAULIS, dagger, hermitian_eig, partial_trace
 from minkit.measurements import (
-    KIND_BLOCK,
-    KIND_QUBIT_SPHERE,
-    KIND_UNIQUE,
     _rank_one_projectors,
     _turned,
     apply_measurement,
@@ -165,24 +162,29 @@ class TestInvariantFamily:
     def test_nondegenerate_qubit_unique(self):
         rho_a = (np.eye(2, dtype=complex) + 0.5 * PAULIS[2]) / 2
         fam = invariant_family(rho_a)
-        assert fam.kind == KIND_UNIQUE
+        # the zero-parameter case of the block family
+        assert fam.blocks == ((0, 1), (1, 1))
         expected = [(np.eye(2) + PAULIS[2]) / 2, (np.eye(2) - PAULIS[2]) / 2]
         for got, want in zip(_member(fam).projectors, expected):
             np.testing.assert_allclose(got, want, atol=1e-12)
-        # the zero-parameter case of the block family
-        assert fam.blocks == ((0, 1), (1, 1))
 
     def test_maximally_mixed_qubit_sphere(self):
         fam = invariant_family(np.eye(2, dtype=complex) / 2)
-        assert fam.kind == KIND_QUBIT_SPHERE
         assert fam.blocks == ((0, 2),)
         m = _member(fam, [random_unitary(2, np.random.default_rng(28))])
         assert _invariant(m, np.eye(2, dtype=complex) / 2)
 
     def test_partially_degenerate_blocks(self):
         fam = invariant_family(np.diag([0.5, 0.25, 0.25]).astype(complex))
-        assert fam.kind == KIND_BLOCK
         assert fam.blocks == ((0, 1), (1, 2))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_rejects_a_bad_tolerance(self, tol):
+        # -1 split the maximally mixed qubit into blocks of size 1
+        with pytest.raises(ValueError, match="degeneracy_tol must be finite and >= 0"):
+            invariant_family(np.eye(2, dtype=complex) / 2, tol)
+        assert invariant_family(np.eye(2, dtype=complex) / 2, 0.0).blocks == ((0, 2),)
 
     def test_refined_members_are_invariant(self):
         rng = np.random.default_rng(25)
@@ -196,7 +198,7 @@ class TestInvariantFamily:
         rho = random_density((2, 2), 4, rng)
         rho_a = partial_trace(rho.mat, rho.dims, "B")
         fam = invariant_family(rho_a)
-        assert fam.kind == KIND_UNIQUE
+        assert fam.blocks == ((0, 1), (1, 1))
         out = apply_measurement(rho, _member(fam))
         assert np.abs(partial_trace(out.mat, out.dims, "B") - rho_a).max() <= 1e-10
 
@@ -210,7 +212,7 @@ class TestInvariantFamily:
             parts.append(p * np.kron(proj, random_density((1, 2), 2, rng).mat))
         rho = validate(sum(parts), (2, 2))
         fam = invariant_family(partial_trace(rho.mat, rho.dims, "B"))
-        assert fam.kind == KIND_UNIQUE
+        assert fam.blocks == ((0, 1), (1, 1))
         out = apply_projectors(rho.mat, _member(fam), 2)
         assert _trace_norm(rho.mat - out) <= 1e-10
 

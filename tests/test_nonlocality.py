@@ -186,6 +186,13 @@ class TestTwoQubitClosedForm:
         with pytest.raises(ValueError, match="dims"):
             trace_min_two_qubit(random_density((2, 3), 2, 0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_a_bad_tolerance(self, tol):
+        # -1 and NaN ran into an SVD that did not converge
+        with pytest.raises(ValueError, match="degenerate_tol must be finite and >= 0"):
+            trace_min_two_qubit(make_bell_diagonal([0.4, 0.3, 0.2]), tol)
+
 
 class TestTwoQubitHs:
     def test_reference_bell_diagonal(self):
@@ -201,11 +208,17 @@ class TestTwoQubitHs:
         for k in range(10):
             rho = random_density((2, 2), 1 + k % 4, rng)
             fam = _family(rho)
-            if fam.kind != "unique":
+            if len(fam.blocks) != rho.da:  # a degenerate marginal
                 continue
             post = apply_projectors(rho.mat, _member(fam), 2)
             direct = float((np.abs(rho.mat - post) ** 2).sum())
             assert abs(hs_min_two_qubit(rho).value - direct) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="degenerate_tol must be finite and >= 0"):
+            hs_min_two_qubit(make_bell_diagonal([0.4, 0.3, 0.2]), tol)
 
     def test_ordering_disagreement_between_measures(self):
         wide = make_bell_diagonal([0.45, 0.3, 0.2])
@@ -223,7 +236,7 @@ def _old_two_qubit_closed_forms(rho, degenerate_tol=1e-8):
     branch, (sqrt(chi+) + sqrt(chi-)) / (2|x|), takes the discriminant
     chi+ chi- in exact rational arithmetic.  Returns (trace, HS)."""
     _, form = canonicalize(rho)
-    c, x = form.c, form.x
+    c, x = np.diagonal(form.t), form.x
     xn = float(np.linalg.norm(x))
     if xn <= degenerate_tol:
         a = np.sort(np.abs(c))[::-1]
@@ -672,6 +685,14 @@ class TestClosedForm:
     def test_rejects_unknown_measure(self):
         with pytest.raises(ValueError, match="measure"):
             closed_form(make_bell_diagonal([0.1, 0.1, 0.1]), "n3")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_a_bad_tolerance(self, tol):
+        # a Bell-diagonal state never reaches the two-qubit form's own check
+        for rho in (make_bell_diagonal([0.4, 0.3, 0.2]), random_density((2, 2), 3, 5)):
+            with pytest.raises(ValueError, match="degeneracy_tol must be finite and >= 0"):
+                closed_form(rho, "n1", tol)
 
 
 # Correlation triples of the four Bell states; a convex combination with
@@ -1139,7 +1160,31 @@ def _value_at(rho, which, fam, u):
     """The value of one state at one U, as ``_optimize`` takes it: a unique
     family at U = I, without a frame."""
     search = _search(rho, which, fam)
-    return search.values()[0] if fam.kind == "unique" else search.values(u[None], _rows([u]))[0]
+    if len(fam.blocks) == rho.da:  # every block has size 1
+        return search.values()[0]
+    return search.values(u[None], _rows([u]))[0]
+
+
+class TestFamilyShapes:
+    """The marginal's blocks pick the branch: blocks of size 1 only take the
+    unique branch, the one block of dA = 2 the qubit sphere, whose results
+    carry a Bloch axis, and any other block of size >= 2 the block branch."""
+
+    @pytest.mark.parametrize("make, blocks, method", [
+        (lambda rng: random_density((2, 2), 3, rng), ((0, 1), (1, 1)), METHOD_UNIQUE),
+        (lambda rng: _filtered((2, 3), 3, rng), ((0, 2),), METHOD_SPHERE),
+        (lambda rng: _split_state((3, 3), [0.4, 0.4, 0.2], 3, rng), ((0, 2), (2, 1)),
+         METHOD_BLOCK),
+        (lambda rng: make_werner(3, 0.3), ((0, 3),), METHOD_BLOCK),
+    ], ids=["nondegenerate-2x2", "filtered-2x3", "split-3x3", "werner-3"])
+    def test_blocks_method_and_axis(self, make, blocks, method):
+        rho = make(np.random.default_rng(2014))
+        assert _family(rho).blocks == blocks
+        for numeric_min in (trace_min_numeric, hs_min_numeric, bures_min_numeric):
+            res = numeric_min(rho)
+            assert res.method == method
+            assert (res.axis is not None) == (method == METHOD_SPHERE)
+            assert len(res.measurement.projectors) == rho.da
 
 
 class TestBlockBranch:
@@ -1413,7 +1458,7 @@ class TestRotations:
     def test_nondegenerate_marginal_builds_no_ascent_constants(self):
         rho = random_density((2, 2), 3, np.random.default_rng(2014))
         fam = _family(rho)
-        assert fam.kind == "unique"
+        assert fam.blocks == ((0, 1), (1, 1))
         search = _search(rho, "trace", fam)
         assert search.scatter is None and not hasattr(search, "flat_eye")
         assert not hasattr(search, "pairs") and not hasattr(search, "rows")

@@ -66,6 +66,16 @@ class TestValidate:
         with pytest.raises(StateInvariantError, match="dims"):
             validate(np.eye(4, dtype=complex) / 4, (-2, -2))
 
+    def test_rejects_non_integer_dims(self):
+        # int() would truncate 2.5 and take the matrix as a two-qubit state
+        with pytest.raises(ValueError, match="dims must be an integer"):
+            validate(np.eye(4, dtype=complex) / 4, (2.5, 2))
+        # only the first two entries were read
+        with pytest.raises(ValueError, match="dims must be two integers"):
+            validate(np.eye(4, dtype=complex) / 4, (2, 2, 9))
+        rho = validate(np.eye(4, dtype=complex) / 4, (np.int64(2), np.uint8(2)))
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
+
     def test_stack_gives_one_state_per_matrix(self):
         rng = np.random.default_rng(40)
         mats = np.stack([random_density((2, 3), 1 + k % 6, rng).mat for k in range(6)])
@@ -130,6 +140,15 @@ class TestSchmidt:
         for v, norm in (([1.0, 1.0, 0.0, 0.0], "1.41421356237"), ([np.nan, 0.0, 0.0, 0.0], "nan")):
             with pytest.raises(StateInvariantError, match=f"vector norm {norm}"):
                 pure_state(v, (2, 2))
+
+    def test_pure_state_rejects_non_integer_dims(self):
+        # int() would truncate 1.5 and give dims (1, 4)
+        with pytest.raises(ValueError, match="dims must be an integer"):
+            pure_state(np.ones(6) / np.sqrt(6), (1.5, 4))
+        with pytest.raises(ValueError, match="dims must be two integers"):
+            pure_state(np.ones(4) / 2, (2, 2, 9))
+        psi = pure_state(np.ones(6) / np.sqrt(6), (np.int64(2), np.int32(3)))
+        assert psi.dims == (2, 3) and all(type(d) is int for d in psi.dims)
 
     def test_bell_state(self):
         form = schmidt(pure_state(BELL_PHI_PLUS, (2, 2)))
@@ -196,7 +215,7 @@ class TestPauliKernels:
             assert np.abs(form.x - ref[1:, 0]).max() <= 1e-14
             assert np.abs(form.y - ref[0, 1:]).max() <= 1e-14
             assert np.abs(form.t - ref[1:, 1:]).max() <= 1e-14
-            assert np.abs(form.c - np.diagonal(ref[1:, 1:])).max() <= 1e-14
+            assert np.abs(np.diagonal(form.t) - np.diagonal(ref[1:, 1:])).max() <= 1e-14
 
     def test_matrix_matches_kron_sum(self):
         rng = np.random.default_rng(65)
@@ -213,7 +232,7 @@ class TestCanonicalize:
     def test_fixed_point(self):
         rho = make_bell_diagonal([0.45, 0.3, 0.2])
         _, form = canonicalize(rho)
-        np.testing.assert_allclose(np.abs(form.c), [0.45, 0.3, 0.2], atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.diagonal(form.t)), [0.45, 0.3, 0.2], atol=1e-12)
 
     def test_recovers_magnitudes_after_local_rotation(self):
         rng = np.random.default_rng(13)
@@ -223,7 +242,7 @@ class TestCanonicalize:
         rotated = validate(u @ rho.mat @ dagger(u), (2, 2))
         _, form = canonicalize(rotated)
         np.testing.assert_allclose(
-            np.sort(np.abs(form.c)), np.sort(np.abs(c)), atol=1e-10
+            np.sort(np.abs(np.diagonal(form.t))), np.sort(np.abs(c)), atol=1e-10
         )
 
     def test_output_tensor_diagonal(self):
@@ -243,7 +262,7 @@ class TestCanonicalize:
         for rank in (1, 2, 3, 4):
             out, form = canonicalize(random_density((2, 2), rank, rng))
             again = bloch_decompose(out)
-            for field in ("x", "y", "t", "c"):
+            for field in ("x", "y", "t"):
                 np.testing.assert_allclose(getattr(form, field), getattr(again, field), atol=1e-12)
 
     def test_preserves_numeric_nonlocality(self):
@@ -269,7 +288,7 @@ class TestBellDiagonal:
     def test_reference_point(self):
         rho = make_bell_diagonal([0.45, 0.3, 0.2])
         form = bloch_decompose(rho)
-        assert np.abs(form.c).max() == pytest.approx(0.45, abs=1e-12)
+        assert np.abs(np.diagonal(form.t)).max() == pytest.approx(0.45, abs=1e-12)
 
     def test_rejects_outside_tetrahedron(self):
         with pytest.raises(StateInvariantError, match="tetrahedron"):
@@ -478,7 +497,7 @@ class TestDetectFamily:
             form = bloch_decompose(rho)
             off = form.t - np.diag(np.diagonal(form.t))
             if max(np.linalg.norm(form.x), np.linalg.norm(form.y), np.abs(off).max()) <= tol:
-                return "bell_diagonal", {"c": form.c}
+                return "bell_diagonal", {"c": np.diagonal(form.t)}
         if da == db:
             d, swap = da, swap_operator(da)
             gram = np.array([[d * d, d], [d, d * d]], dtype=float)
