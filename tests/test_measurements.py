@@ -181,7 +181,7 @@ class TestInvariantFamily:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
     def test_rejects_a_bad_tolerance(self, tol):
-        # -1 split the maximally mixed qubit into blocks of size 1
+        # -1 would split the maximally mixed qubit into blocks of size 1
         with pytest.raises(ValueError, match="degeneracy_tol must be finite and >= 0"):
             invariant_family(np.eye(2, dtype=complex) / 2, tol)
         assert invariant_family(np.eye(2, dtype=complex) / 2, 0.0).blocks == ((0, 2),)

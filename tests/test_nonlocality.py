@@ -189,7 +189,7 @@ class TestTwoQubitClosedForm:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
     def test_rejects_a_bad_tolerance(self, tol):
-        # -1 and NaN ran into an SVD that did not converge
+        # -1 or NaN would reach an SVD of NaNs, which does not converge
         with pytest.raises(ValueError, match="degenerate_tol must be finite and >= 0"):
             trace_min_two_qubit(make_bell_diagonal([0.4, 0.3, 0.2]), tol)
 

@@ -70,7 +70,7 @@ class TestValidate:
         # int() would truncate 2.5 and take the matrix as a two-qubit state
         with pytest.raises(ValueError, match="dims must be an integer"):
             validate(np.eye(4, dtype=complex) / 4, (2.5, 2))
-        # only the first two entries were read
+        # a third entry is not ignored
         with pytest.raises(ValueError, match="dims must be two integers"):
             validate(np.eye(4, dtype=complex) / 4, (2, 2, 9))
         rho = validate(np.eye(4, dtype=complex) / 4, (np.int64(2), np.uint8(2)))
