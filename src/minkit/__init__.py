@@ -8,7 +8,6 @@ machinery, CPTP channel dynamics, and a reproducible CLI.
 __version__ = "0.1.0"
 
 from .linalg import (
-    HermEig,
     fidelity,
     hermitian_eig,
     partial_trace,

@@ -16,7 +16,6 @@ from .linalg import PAULIS, _integer, _local_action, dagger
 from .nonlocality import OptimizerConfig, _bell_diagonal_value, _optimize
 from .states import (
     DensityMatrix,
-    StateInvariantError,
     _as_rng,
     _ginibre,
     _ginibre_density,
@@ -73,7 +72,7 @@ def apply_channel_b(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
 
 
 def apply_channel_a(rho: DensityMatrix, ch: KrausChannel) -> DensityMatrix:
-    """Apply the channel to party A (used by two-sided dynamics)."""
+    """Apply the channel to party A; the reduced state of B is untouched."""
     if ch.dim != rho.da:
         raise ValueError(f"channel dimension {ch.dim} != dA {rho.da}")
     return validate(_local_action(rho.mat, ch.ops, rho.dims, "A"), rho.dims)
@@ -132,13 +131,11 @@ def random_channel(d: int, kraus_count: int, seed) -> KrausChannel:
 
 @dataclass(frozen=True)
 class DynamicsTrace:
-    """Correlation triple and both MIN values along a noise trajectory."""
+    """Correlation triple and both MIN values at each time of a noise trajectory."""
 
-    times: np.ndarray
     c_t: np.ndarray
     n1_t: np.ndarray
     n2_t: np.ndarray
-    channel: str
 
 
 def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
@@ -147,15 +144,16 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     ``sided`` is "one" (channel on B) or "two" (same channel on both
     parties).  The analytic multiplier rule is verified against explicit
     Kraus evolution at every grid point to 1e-10, all points in one batch;
-    on two sides the Kraus operators are the products K_k x K_l.  A triple
-    outside the tetrahedron, at the start or later, raises ``StateInvariantError``.
+    on two sides the Kraus operators are the products K_k x K_l.  A start
+    outside the tetrahedron raises ``StateInvariantError`` (from
+    ``make_bell_diagonal``); the channel keeps a physical start physical,
+    since the Bell weights at multiplier p are p w(c0) + (1 - p) w(c0's
+    on-axis part).
     """
     c0 = np.asarray(c0, dtype=float)
     if sided not in ("one", "two"):
         raise ValueError(f"sided must be 'one' or 'two', got {sided}")
     _check_axis(axis)
-    if not in_tetrahedron(c0):
-        raise StateInvariantError(f"initial triple {tuple(map(float, c0))} is not physical")
     rho0 = make_bell_diagonal(c0)
     times = np.asarray(gamma_ts, dtype=float)
     # Python floats point by point: np.exp and numpy's square differ in the last bit
@@ -166,12 +164,6 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
     mult = p if sided == "one" else np.array([s**2 for s in sides], dtype=float)
     c_t = c0 * mult[:, None]
     c_t[:, axis - 1] = c0[axis - 1]
-    outside = np.flatnonzero(~in_tetrahedron(c_t))
-    if outside.size:
-        raise StateInvariantError(
-            f"correlation triple {tuple(map(float, c_t[outside[0]]))} "
-            "lies outside the physical tetrahedron"
-        )
     kraus = _flip_kraus(axis, p)
     if sided == "one":
         evolved = _local_action(rho0.mat, kraus, (2, 2), "B")
@@ -190,11 +182,9 @@ def dynamics_sweep(c0, axis: int, sided: str, gamma_ts) -> DynamicsTrace:
             f"at gamma_t={times[bad[0]]}"
         )
     return DynamicsTrace(
-        times=times,
         c_t=c_t,
         n1_t=_bell_diagonal_value(c_t, True),
         n2_t=_bell_diagonal_value(c_t, False),
-        channel=FLIP_LABELS[axis],
     )
 
 

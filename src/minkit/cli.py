@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .channels import dynamics_sweep, freezing_region, monotonicity_audit
+from .channels import FLIP_LABELS, dynamics_sweep, freezing_region, monotonicity_audit
 from .nonlocality import (
     DIM_LIMIT,
     DimensionLimitError,
@@ -256,7 +256,7 @@ def _cmd_sweep(args) -> int:
         raise _InputError(f"--tmax must be finite and >= 0, got {args.tmax}")
     times = np.linspace(0.0, args.tmax, args.grid)
     trace = dynamics_sweep(c0, args.axis, args.sided, times)
-    columns = [trace.times, *trace.c_t.T, trace.n1_t, trace.n2_t]
+    columns = [times, *trace.c_t.T, trace.n1_t, trace.n2_t]
     _write_csv(args.out, ["gamma_t", "c1", "c2", "c3", "n1", "n2"], columns)
     params = {
         "c0": [float(v) for v in c0],
@@ -266,7 +266,7 @@ def _cmd_sweep(args) -> int:
         "tmax": args.tmax,
     }
     _write_manifest(args.out, "sweep", params)
-    print(f"sweep {trace.channel} ({args.sided}-sided): {len(trace.times)} points -> {args.out}")
+    print(f"sweep {FLIP_LABELS[args.axis]} ({args.sided}-sided): {len(times)} points -> {args.out}")
     return 0
 
 

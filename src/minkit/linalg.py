@@ -7,8 +7,8 @@ concurrently.
 
 from __future__ import annotations
 
+import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,8 +40,16 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer") from None
 
 
+def _real(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a real number (numpy floats
+    and ints pass; a bool or a str does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _tolerance(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is finite and >= 0 (NaN is not)."""
+    """Raise ``ValueError`` unless ``value`` is a real number, finite and >= 0 (NaN is not)."""
+    _real(name, value)
     if not 0 <= value < np.inf:  # negated so that NaN fails it too
         raise ValueError(f"{name} must be finite and >= 0")
 
@@ -117,26 +125,16 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], party: str) -> np.ndarra
     raise ValueError(f"party must be 'A' or 'B', got {party!r}")
 
 
-@dataclass(frozen=True)
-class HermEig:
-    """Spectral resolution of a Hermitian matrix.
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (w, v) of a Hermitian matrix, as ``np.linalg.eigh``
+    gives it but with deterministic order and phases.
 
-    ``eigenvalues`` are real and descending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns, each phase-fixed so its
-    first non-negligible component is real positive.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eig(m: np.ndarray) -> HermEig:
-    """Eigendecomposition of a Hermitian matrix with deterministic ordering.
-
-    A stack (N, n, n) gives stacked eigenvalues (N, n) and eigenvectors
-    (N, n, n) in one ``eigh`` call, each matrix's bitwise what it gives
-    alone.  Raises ``ValueError`` if any matrix is not Hermitian within
-    ``HERMITIAN_TOL`` (1e-10) per entry.
+    The eigenvalues w are real and descending; the columns of v are the
+    matching orthonormal eigenvectors, each phase-fixed so its first
+    non-negligible component is real positive.  A stack (N, n, n) gives w
+    (N, n) and v (N, n, n) in one ``eigh`` call, each matrix's bitwise what
+    it gives alone.  Raises ``ValueError`` if any matrix is not Hermitian
+    within ``HERMITIAN_TOL`` (1e-10) per entry.
     """
     if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -149,7 +147,14 @@ def hermitian_eig(m: np.ndarray) -> HermEig:
     cols = v.swapaxes(-1, -2).reshape(-1, v.shape[-1])
     heads = cols[np.arange(len(cols)), lead.ravel()]
     phase = (heads / np.hypot(heads.real, heads.imag)).reshape(lead.shape)
-    return HermEig(eigenvalues=w, eigenvectors=v / phase[..., None, :])
+    return w, v / phase[..., None, :]
+
+
+def _check_psd(w: np.ndarray) -> None:
+    """Raise ``ValueError`` if the eigenvalues ``w`` of a Hermitian matrix
+    go below -``PSD_CLAMP`` times max(1, their largest modulus)."""
+    if w.min(initial=0.0) < -PSD_CLAMP * max(1.0, float(np.abs(w).max(initial=0.0))):
+        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}, not PSD")
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -158,13 +163,9 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues within ``PSD_CLAMP`` of zero are clamped; more negative
     ones raise ``ValueError``.
     """
-    eig = hermitian_eig(m)
-    w = eig.eigenvalues
-    floor = -PSD_CLAMP * max(1.0, float(np.abs(w).max(initial=0.0)))
-    if w.min(initial=0.0) < floor:
-        raise ValueError(f"matrix has negative eigenvalue {w.min():.3e}, not PSD")
+    w, v = hermitian_eig(m)
+    _check_psd(w)
     root = np.sqrt(np.clip(w, 0.0, None))
-    v = eig.eigenvectors
     out = (v * root) @ dagger(v)
     return (out + dagger(out)) / 2
 
@@ -195,7 +196,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     if not (is_hermitian(rho) and is_hermitian(sigma)):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, (root,) = support_roots(rho[None])
-    for v in (w[0], np.linalg.eigvalsh(sigma)):
-        if v.min() < -PSD_CLAMP * max(1.0, float(np.abs(v).max())):
-            raise ValueError(f"matrix has negative eigenvalue {v.min():.3e}, not PSD")
+    _check_psd(w[0])
+    _check_psd(np.linalg.eigvalsh(sigma))
     return float(support_fidelity(root, sigma))

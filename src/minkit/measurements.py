@@ -130,16 +130,16 @@ def invariant_family(
     the induced measurement (and the nonlocality value) is discontinuous
     across the gap closing.  A stack (N, dA, dA) of reduced states takes one
     ``hermitian_eig`` call and gives a list of N families.  A tolerance
-    that is negative or not finite raises ``ValueError``.
+    that is not a real number, negative or not finite raises ``ValueError``.
     """
     _tolerance("degeneracy_tol", degeneracy_tol)
-    eig = hermitian_eig(rho_a)
+    w, vecs = hermitian_eig(rho_a)
     # where each descending spectrum has a gap wider than the tolerance
-    gaps = (eig.eigenvalues[..., :-1] - eig.eigenvalues[..., 1:] > degeneracy_tol).tolist()
-    if eig.eigenvalues.ndim == 1:
-        return MeasurementFamily(eig.eigenvectors, _blocks(tuple(gaps)))
+    gaps = (w[..., :-1] - w[..., 1:] > degeneracy_tol).tolist()
+    if w.ndim == 1:
+        return MeasurementFamily(vecs, _blocks(tuple(gaps)))
     return [MeasurementFamily(v, blocks)  # positional: a stack builds many
-            for blocks, v in zip(map(_blocks, map(tuple, gaps)), eig.eigenvectors)]
+            for blocks, v in zip(map(_blocks, map(tuple, gaps)), vecs)]
 
 
 @functools.lru_cache(maxsize=256)

@@ -28,6 +28,7 @@ from .linalg import (
     PAULIS,
     _integer,
     _local_action,
+    _real,
     _tolerance,
     dagger,
     partial_trace,
@@ -76,29 +77,17 @@ class DimensionLimitError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the numeric maximizers.
+    """Knobs for the numeric maximizers (``_optimize`` describes the search).
 
-    ``degeneracy_tol`` doubles as the eigenvalue-gap threshold for the
-    invariant-measurement family and as the branch threshold of the
-    two-qubit closed form; the measures are discontinuous across it, so it
-    is exposed rather than hidden.
-
-    With a degenerate marginal (the qubit sphere is the one-block case
-    dA = 2) HS MIN takes Jacobi sweeps from the identity until a sweep
-    gains at most ``tol``, or one exact pair step when the family has one
-    index pair (the qubit sphere, or dA = 3 split 2 + 1); ``restarts`` and
-    ``seed`` do not apply to it.
-    Trace and Bures MIN ascend from the identity, the HS optimum and
-    2 * ``restarts`` Haar block unitaries drawn from ``seed``; a start
-    stops once its predicted gain is at most ``tol``, and its step grows
-    while it sees no positive curvature (``_BlockSearch.ascend``); on a
-    family with one index pair each trial step is also cut to tangent norm
-    1/2, which keeps a long step from wrapping around the Bloch sphere
-    (with more pairs a cut would move starts to other local maxima).  The
-    result is the first start within ``tol`` of the best, so that ties go
-    to the identity; its value can sit up to ``tol`` below the best start's.
-    The states of one call whose families share their blocks take the same
-    Haar starts and one lockstep, each with the result it gives alone.
+    ``restarts``: trace and Bures MIN ascend from 2 * ``restarts`` Haar
+    block unitaries besides the identity and the HS optimum.
+    ``tol``: a Jacobi sweep or an ascent start stops once it gains, or
+    predicts, at most ``tol``; the result is the first start within ``tol``
+    of the best, so ties go to the identity.
+    ``seed``: seeds the Haar starts.
+    ``degeneracy_tol``: the eigenvalue-gap threshold of the invariant
+    family, and the branch threshold of the two-qubit closed forms when
+    passed to ``closed_form``; the measures are discontinuous across it.
     """
 
     restarts: int = 4
@@ -111,6 +100,7 @@ class OptimizerConfig:
             _integer(name, getattr(self, name))
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        _real("tol", self.tol)
         # a negated range test, so that NaN fails it too
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
@@ -169,41 +159,39 @@ def max_entangled_trace_min(m: int) -> float:
     return 2.0 * (m - 1) / m
 
 
-def trace_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_TOL) -> MinResult:
+def trace_min_two_qubit(rho: DensityMatrix) -> MinResult:
     """Trace MIN of an arbitrary two-qubit state, in closed form.
 
     With local vector x and correlation tensor T, the disturbance of the
     measurement along the unit vector e is 1/4 sum_ij [(I - e e^T) T]_ij
     sigma_i x sigma_j, whose trace norm is the largest singular value of
     (I - e e^T) T.  With a nondegenerate marginal (|x| above
-    ``degenerate_tol``) the measurement is fixed, e = x/|x|; at x = 0 the
+    ``DEGENERACY_TOL``) the measurement is fixed, e = x/|x|; at x = 0 the
     maximum over the sphere is the largest singular value of T.  Local
-    rotations keep singular values, so no canonical frame is needed.  A
-    ``degenerate_tol`` that is negative or not finite raises ``ValueError``.
+    rotations keep singular values, so no canonical frame is needed.
+    ``closed_form`` is the entry that takes another threshold.
     """
-    return MinResult(value=_two_qubit_value(rho, True, degenerate_tol), method=METHOD_CLOSED)
+    return MinResult(value=_two_qubit_value(rho, True, DEGENERACY_TOL), method=METHOD_CLOSED)
 
 
-def hs_min_two_qubit(rho: DensityMatrix, degenerate_tol: float = DEGENERACY_TOL) -> MinResult:
+def hs_min_two_qubit(rho: DensityMatrix) -> MinResult:
     """HS MIN of an arbitrary two-qubit state, in closed form.
 
     The squared Hilbert-Schmidt norm of the disturbance along e is
     1/4 ||(I - e e^T) T||_F^2, with e = x/|x| for a nondegenerate marginal;
     at x = 0 the maximum over the sphere is a quarter of the sum of the two
-    largest squared singular values of T.  ``degenerate_tol`` is checked as
-    in ``trace_min_two_qubit``.
+    largest squared singular values of T.  The threshold is that of
+    ``trace_min_two_qubit``.
     """
-    return MinResult(value=_two_qubit_value(rho, False, degenerate_tol), method=METHOD_CLOSED)
+    return MinResult(value=_two_qubit_value(rho, False, DEGENERACY_TOL), method=METHOD_CLOSED)
 
 
-def _two_qubit_value(rho: DensityMatrix, trace: bool, degenerate_tol: float) -> float:
-    """Trace (``trace``) or HS closed form of a two-qubit state."""
-    if rho.dims != (2, 2):
-        raise ValueError(f"two-qubit closed form needs dims (2, 2), got {rho.dims}")
-    _tolerance("degenerate_tol", degenerate_tol)
+def _two_qubit_value(rho: DensityMatrix, trace: bool, degeneracy_tol: float) -> float:
+    """Trace (``trace``) or HS closed form of a two-qubit state, with |x| at
+    most ``degeneracy_tol`` (already checked) taken as x = 0."""
     form = bloch_decompose(rho)
     xn = float(np.linalg.norm(form.x))
-    if xn <= degenerate_tol:
+    if xn <= degeneracy_tol:
         return _bell_diagonal_value(np.linalg.svd(form.t, compute_uv=False), trace)
     xh = form.x / xn
     pt = form.t - np.outer(xh, xh @ form.t)
@@ -244,7 +232,8 @@ def closed_form(rho: DensityMatrix, measure: str,
     has no closed form).  Returns None when no closed form applies.
     ``degeneracy_tol`` is the branch threshold of the two-qubit closed forms;
     pass the numeric optimizer's ``OptimizerConfig.degeneracy_tol`` so both
-    sides split the branches at the same |x|; it must be finite and >= 0.
+    sides split the branches at the same |x|; it must be a real number,
+    finite and >= 0.
     """
     if measure not in ("n1", "n2", "nb"):
         raise ValueError(f"measure must be 'n1', 'n2' or 'nb', got {measure!r}")
@@ -282,7 +271,7 @@ def _closed_value(
     if family == "isotropic":
         return (trace_min_isotropic if trace else hs_min_isotropic)(params["d"], params["x"])
     if rho.dims == (2, 2):
-        return (trace_min_two_qubit if trace else hs_min_two_qubit)(rho, degeneracy_tol).value
+        return _two_qubit_value(rho, trace, degeneracy_tol)
     return None
 
 
@@ -426,11 +415,6 @@ class _BlockSearch:
     support of rho = W W^dag, from the W (N, n, rank) ``roots`` of
     ``support_roots``, by ``support_fidelity``: the kernel of
     ``minkit.fidelity``.
-
-    ``bounded`` cuts the ascent's trial steps on a family with one index
-    pair (the qubit sphere, or dA = 3 split 2 + 1), where the pair rotation
-    of a long step wraps around the sphere; with more pairs a cut changes
-    which local maximum a start reaches, so their steps stay uncut.
     """
 
     def __init__(self, mats: np.ndarray, dims: tuple[int, int], which: str,
@@ -602,9 +586,11 @@ class _BlockSearch:
     def bounded(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Step lengths ``t`` (k,) along the directions ``d`` (k, p), cut so
         that no trial step t d has tangent norm above ``_PAIR_STEP`` when the
-        family has one index pair; ``t`` itself for more pairs.  A cut row's
-        pair turns by at most ``_PAIR_STEP`` / sqrt(2) rad.  A row whose t
-        was halved keeps its d, so the cut leaves it as it is."""
+        family has one index pair (the qubit sphere, or dA = 3 split 2 + 1);
+        ``t`` itself for more pairs, where a cut would change which local
+        maximum a start reaches.  A cut row's pair turns by at most
+        ``_PAIR_STEP`` / sqrt(2) rad.  A row whose t was halved keeps its d,
+        so the cut leaves it as it is."""
         if len(self.pairs) > 1:
             return t
         # the floor keeps a zero d from dividing by zero
@@ -622,20 +608,18 @@ class _BlockSearch:
         (s.y <= 0 with y = g - g_trial, a pair that ``_bfgs_update`` skips):
         then the estimate has learned nothing, and t grows by ``_STRETCH``,
         so that a start on a flat or saddle-like patch does not creep at one
-        short step.  On a family with one index pair, ``bounded`` cuts t at
-        each stage start and after each step, so that no trial step turns
-        the pair by more than ``_PAIR_STEP`` / sqrt(2) rad: there a BFGS
-        step after a flat patch can ask for tangent norms of 60 and more,
-        which wrap around the sphere and cost a halving each.  The
-        inverse Hessian starts as I and carries over from
-        stage to stage; a start's first accepted step scales it by s.y / y.y
-        before the update.  A start stops once its predicted gain g.H is at
-        most ``tol``, whether or not its last trial succeeded, or once t
-        falls to 1e-10; a start with zero gradient stops at once.  Within a
-        stage the arrays hold the live rows only, the accepted rows written
-        in place (or the arrays rebound when every row is accepted); a row's
-        U, value and estimate are written back to the full stack when it
-        stops or the stage ends.
+        short step.  ``bounded`` cuts t at each stage start and after each
+        step: on a family with one index pair a BFGS step after a flat patch
+        can ask for tangent norms of 60 and more, which wrap around the
+        sphere and cost a halving each.  The inverse Hessian starts as I and
+        carries over from stage to stage; a start's first accepted step
+        scales it by s.y / y.y before the update.  A start stops once its
+        predicted gain g.H is at most ``tol``, whether or not its last trial
+        succeeded, or once t falls to 1e-10; a start with zero gradient
+        stops at once.  Within a stage the arrays hold the live rows only,
+        the accepted rows written in place (or the arrays rebound when every
+        row is accepted); a row's U, value and estimate are written back to
+        the full stack when it stops or the stage ends.
 
         Only mu changes between stages, so each row's ``spectrum`` is kept
         from one stage start to the next, and ``restage`` frames again only
@@ -876,7 +860,7 @@ def _sumabs_reading(rho: DensityMatrix) -> float:
     normalization, so the oracle audit reports its residual next to the
     Euclidean reading rather than adopting it.
     """
-    _, form = canonicalize(rho)
+    form = canonicalize(rho)
     c, x = np.diagonal(form.t), form.x
     xn = float(np.abs(x).sum())
     if xn < 1e-8:

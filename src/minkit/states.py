@@ -185,8 +185,9 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     return BlochForm(x=coeffs[1:, 0].copy(), y=coeffs[0, 1:].copy(), t=coeffs[1:, 1:].copy())
 
 
-def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
-    """Rotate a two-qubit state by local unitaries to diagonalize its tensor.
+def canonicalize(rho: DensityMatrix) -> BlochForm:
+    """Bloch form of a two-qubit state rotated by local unitaries so that its
+    tensor is diagonal; ``bloch_matrix(form.x, form.y, form.t)`` is that state.
 
     The correlation tensor is SVD-factored, T = O1 diag(c) O2^T, with
     determinant signs absorbed so both O1 and O2 are proper rotations; local
@@ -203,8 +204,7 @@ def canonicalize(rho: DensityMatrix) -> tuple[DensityMatrix, BlochForm]:
     c = np.array([s[0], s[1], d1 * d2 * s[2]])
     x = (u.T @ form.x) * [1.0, 1.0, d1]
     y = (vh @ form.y) * [1.0, 1.0, d2]
-    t = np.diag(c)
-    return validate(bloch_matrix(x, y, t), (2, 2)), BlochForm(x=x, y=y, t=t)
+    return BlochForm(x=x, y=y, t=np.diag(c))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +367,8 @@ def detect_family(rho: DensityMatrix) -> tuple[str, dict]:
     da, db = rho.dims
     # lambda_max^2 <= tr rho^2 = sum |rho_ij|^2; the slack covers round-off
     may_be_pure = np.vdot(mat, mat).real >= max(1.0 - tol, 0.0) ** 2 - 1e-12
-    if may_be_pure and (eig := hermitian_eig(mat)).eigenvalues[0] >= 1.0 - tol:
-        v = eig.eigenvectors[:, 0]
+    if may_be_pure and (eig := hermitian_eig(mat))[0][0] >= 1.0 - tol:
+        v = eig[1][:, 0]
         v = v / np.linalg.norm(v)
         if np.abs(mat - np.outer(v, v.conj())).max() <= 10 * tol:
             psi = pure_state(v, rho.dims)

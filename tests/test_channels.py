@@ -194,9 +194,9 @@ class TestDynamicsSweep:
         assert np.all(np.diff(trace.n2_t) < 0.0)
 
     def test_rejects_unphysical_start(self):
-        # a state-invariant violation, as in make_bell_diagonal; the message
-        # prints plain floats, not numpy reprs
-        message = r"initial triple \(1\.0, 1\.0, 1\.0\) is not physical"
+        # make_bell_diagonal's state-invariant violation; the message prints
+        # plain floats, not numpy reprs
+        message = r"correlation triple \(1\.0, 1\.0, 1\.0\) lies outside the physical"
         with pytest.raises(StateInvariantError, match=message):
             dynamics_sweep([1.0, 1.0, 1.0], 3, "one", np.array([0.0]))
 

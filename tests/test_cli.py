@@ -331,7 +331,8 @@ class TestSweep:
 
     def test_unphysical_triple_message_prints_plain_floats(self, capsys):
         main(["sweep", "--c0", "1,1,1", "--axis", "3", "--out", "/tmp/x.csv"])
-        assert "initial triple (1.0, 1.0, 1.0) is not physical" in capsys.readouterr().err
+        assert ("correlation triple (1.0, 1.0, 1.0) lies outside the physical tetrahedron"
+                in capsys.readouterr().err)
 
 
 class TestAudit:

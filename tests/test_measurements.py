@@ -78,9 +78,9 @@ class TestSphereMeasurement:
 
     def test_x_axis_matches_pauli_x_eigenprojectors(self):
         m = sphere_measurement([1.0, 0.0, 0.0])
-        eig = hermitian_eig(PAULIS[0])
+        _, vecs = hermitian_eig(PAULIS[0])
         for k in range(2):
-            v = eig.eigenvectors[:, k]
+            v = vecs[:, k]
             np.testing.assert_allclose(m.projectors[k], np.outer(v, v.conj()), atol=1e-12)
 
     def test_random_direction_is_projective(self):
@@ -105,10 +105,8 @@ class TestApplyMeasurement:
         rho_a = np.diag([0.7, 0.3]).astype(complex)
         rho_b = random_density((1, 3), 2, rng).mat
         joint = validate(np.kron(rho_a, rho_b), (2, 3))
-        eig = hermitian_eig(rho_a)
-        m = local_measurement(
-            [np.outer(eig.eigenvectors[:, k], eig.eigenvectors[:, k].conj()) for k in range(2)]
-        )
+        _, v = hermitian_eig(rho_a)
+        m = local_measurement([np.outer(v[:, k], v[:, k].conj()) for k in range(2)])
         out = apply_measurement(joint, m)
         assert np.abs(out.mat - joint.mat).max() <= 1e-12
 
@@ -139,10 +137,8 @@ class TestIsInvariant:
     def test_spectral_projectors_always_invariant(self):
         rng = np.random.default_rng(23)
         rho_a = random_density((1, 3), 3, rng).mat
-        eig = hermitian_eig(rho_a)
-        m = local_measurement(
-            [np.outer(eig.eigenvectors[:, k], eig.eigenvectors[:, k].conj()) for k in range(3)]
-        )
+        _, v = hermitian_eig(rho_a)
+        m = local_measurement([np.outer(v[:, k], v[:, k].conj()) for k in range(3)])
         assert _invariant(m, rho_a)
 
     def test_wrong_basis_not_invariant(self):
@@ -185,6 +181,12 @@ class TestInvariantFamily:
         with pytest.raises(ValueError, match="degeneracy_tol must be finite and >= 0"):
             invariant_family(np.eye(2, dtype=complex) / 2, tol)
         assert invariant_family(np.eye(2, dtype=complex) / 2, 0.0).blocks == ((0, 2),)
+
+    def test_a_tolerance_that_is_not_a_number_raises_value_error(self):
+        for tol in ("1e-8", True):
+            with pytest.raises(ValueError, match="degeneracy_tol must be a real number"):
+                invariant_family(np.eye(2, dtype=complex) / 2, tol)
+        assert invariant_family(np.eye(2, dtype=complex) / 2, np.float64(0.0)).blocks == ((0, 2),)
 
     def test_refined_members_are_invariant(self):
         rng = np.random.default_rng(25)
